@@ -14,6 +14,11 @@ All threshold comparisons are done in exact integer arithmetic:
 D * (lam*(lam-1))**i <= delta * (lam+1)**i, so no float rounding can ever
 flip a verdict.
 
+A prefix class holds a set only while it has members: every empty class is
+the shared ``NO_NEIGHBORS``, and a class that empties returns to it, so
+memory grows with the occupied (vertex, prefix length) classes and not with
+n*(L+1).
+
 Below ``DELTA_MIN`` the parameter scheme degenerates and a plain greedy
 (delta+1) engine is substituted; ``make_det_engine`` dispatches.
 """
@@ -23,12 +28,31 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
 
 from .errors import DeltaTooSmall, InternalInvariantViolation
 from .graph import DynamicGraph, EdgeHandle
 
 DELTA_MIN = 16
+
+NO_NEIGHBORS: FrozenSet[int] = frozenset()
+
+
+def _join(classes: List[AbstractSet[int]], j: int, u: int) -> Set[int]:
+    """Add u to prefix class j, creating its set on first use."""
+    cls = classes[j]
+    if cls is NO_NEIGHBORS:
+        cls = classes[j] = set()
+    cls.add(u)
+    return cls
+
+
+def _leave(classes: List[AbstractSet[int]], j: int, u: int) -> None:
+    """Remove u from prefix class j, releasing the set once it is empty."""
+    cls = classes[j]
+    cls.remove(u)
+    if not cls:
+        classes[j] = NO_NEIGHBORS
 
 
 @dataclass(frozen=True)
@@ -95,8 +119,8 @@ class TupleVertexColoring:
         L = self.params.levels
         self.coords: List[List[int]] = [[1] * L for _ in range(n)]
         # nstar[v][i] = neighbors sharing v's length-i prefix; level 0 is all.
-        self.nstar: List[List[Set[int]]] = [
-            [set() for _ in range(L + 1)] for _ in range(n)
+        self.nstar: List[List[AbstractSet[int]]] = [
+            [NO_NEIGHBORS] * (L + 1) for _ in range(n)
         ]
         self.phi = 0
         self._queue: deque[int] = deque()
@@ -131,8 +155,8 @@ class TupleVertexColoring:
         i = self._common_prefix(u, v)
         nu, nv = self.nstar[u], self.nstar[v]
         for j in range(i + 1):
-            nu[j].add(v)
-            nv[j].add(u)
+            _join(nu, j, v)
+            _join(nv, j, u)
         self.phi += 2 * (i + 1)
         self.cells += 2 * (i + 1)
         if 2 * (i + 1) > 2 * (self.params.levels + 1):
@@ -158,8 +182,8 @@ class TupleVertexColoring:
         i = self._common_prefix(u, v)
         nu, nv = self.nstar[u], self.nstar[v]
         for j in range(i + 1):
-            nu[j].remove(v)
-            nv[j].remove(u)
+            _leave(nu, j, v)
+            _leave(nv, j, u)
         self.phi -= 2 * (i + 1)
         self.cells += 2 * (i + 1)
         # Dropping a neighbor can only shrink prefix classes; no repair needed.
@@ -217,11 +241,11 @@ class TupleVertexColoring:
         for j in range(k, L + 1):
             sj = nx[j]
             for u in sj:
-                nst[u][j].remove(x)
+                _leave(nst[u], j, x)
             s_minus += len(sj)
             self.phi -= 2 * len(sj)
             self.cells += len(sj)
-            nx[j] = set()
+            nx[j] = NO_NEIGHBORS
 
         zeros = self.scratch
         self.cells += lam + 1
@@ -259,8 +283,7 @@ class TupleVertexColoring:
                 for u in prefix:
                     if coords[u][cj] == alpha:
                         new_set.add(u)
-                        dj = nst[u][j]
-                        dj.add(x)
+                        dj = _join(nst[u], j, x)
                         s_plus += 1
                         if len(dj) > allowed[j] and not self._inq[u]:
                             self._inq[u] = 1

@@ -4,11 +4,17 @@ A ``Cell`` is owned by whoever created it (here: one endpoint's view of one
 edge) and can be unlinked from its current list and relinked elsewhere in
 O(1), which is what makes constant-time level moves possible. Lists carry an
 explicit size counter so band sizes are O(1) reads.
+
+``EMPTY_CELLS`` is one shared empty list that stands in for every list not
+yet created, so a structure can read an absent list without allocating one.
+It refuses every write.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
+
+from .errors import InternalInvariantViolation
 
 
 class Cell:
@@ -88,3 +94,17 @@ class CellList:
         while cur is not None:
             yield cur.neighbor
             cur = cur.next
+
+
+class _EmptyCellList(CellList):
+    """Read-only empty list; writing to it would change every reader's view."""
+
+    __slots__ = ()
+
+    def _refuse(self, _cell_or_list) -> None:
+        raise InternalInvariantViolation("write to the shared empty cell list")
+
+    append = remove = steal = _refuse
+
+
+EMPTY_CELLS: CellList = _EmptyCellList()

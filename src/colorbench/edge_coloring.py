@@ -260,17 +260,6 @@ class EdgeColoring:
                     out[(u, v)] = h.color
         return out
 
-    def set_adaptive(self, flag: bool) -> None:
-        """Switch between the fixed palette and per-edge degree palettes.
-
-        Colors already assigned are not revisited; future operations follow
-        the new mode. Leaving adaptive mode requires a degree bound from
-        construction time.
-        """
-        if not flag and self.palette is None:
-            raise ValueError("cannot leave adaptive mode without a degree bound")
-        self.adaptive = flag
-
     # -- structural self-check ------------------------------------------------------
 
     def self_check(self) -> None:

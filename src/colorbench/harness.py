@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -82,8 +83,6 @@ def generate(spec: TraceSpec) -> Trace:
     adj: List[set] = [set() for _ in range(n)]
     live: List[Tuple[int, int]] = []
     live_pos: Dict[Tuple[int, int], int] = {}
-    from collections import deque
-
     fifo: deque = deque()  # insertion order, lazily skipping dead edges
     events: Trace = []
 

@@ -12,6 +12,11 @@ and repaired by moving one vertex at a time: up to the minimum level whose
 band can absorb it, or down to the maximum level that still supports it.
 A move listener observes each move before the lists are restructured, which
 is what the color-table bookkeeping of the randomized engine hangs off.
+
+Memory grows with the occupied (vertex, level) classes, not with n*(L+1):
+``below[v]`` is the shared read-only ``EMPTY_CELLS`` until v gains a lower
+neighbor, and ``same[v]`` maps a level to its list only once a neighbor at
+that level arrives. Every write goes through ``_home``, which creates the list.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dllist import Cell, CellList
+from .dllist import EMPTY_CELLS, Cell, CellList
 from .errors import InternalInvariantViolation, InvalidBase
 from .graph import DELETE, INSERT, EdgeHandle
 
@@ -69,8 +74,8 @@ class LevelPartition:
         self.pow = [beta**i for i in range(self.L + 1)]
 
         self.level = [BOTTOM_LEVEL] * n
-        self.below = [CellList() for _ in range(n)]
-        self.same = [[CellList() for _ in range(self.L + 1)] for _ in range(n)]
+        self.below: List[CellList] = [EMPTY_CELLS] * n
+        self.same: List[Dict[int, CellList]] = [{} for _ in range(n)]
         self._q2: deque[int] = deque()
         self._q1: deque[int] = deque()
         self._in_q2 = bytearray(n)
@@ -87,17 +92,14 @@ class LevelPartition:
     def below_degree(self, v: int) -> int:
         return self.below[v].size
 
-    def below_list(self, v: int) -> CellList:
-        return self.below[v]
-
     def same_list(self, v: int, j: int) -> CellList:
-        return self.same[v][j]
+        return self.same[v].get(j, EMPTY_CELLS)
 
     # -- invariant predicates --------------------------------------------------
 
     def violates_upper(self, v: int) -> bool:
         lv = self.level[v]
-        return self.below[v].size + self.same[v][lv].size > self.pow[lv]
+        return self.below[v].size + self.same[v].get(lv, EMPTY_CELLS).size > self.pow[lv]
 
     def violates_lower(self, v: int) -> bool:
         lv = self.level[v]
@@ -130,9 +132,17 @@ class LevelPartition:
         return self._restore()
 
     def _home(self, owner: int, neighbor_level: int) -> CellList:
+        """owner's list for a neighbor at neighbor_level, created on first use."""
         if neighbor_level < self.level[owner]:
-            return self.below[owner]
-        return self.same[owner][neighbor_level]
+            lst = self.below[owner]
+            if lst is EMPTY_CELLS:
+                lst = self.below[owner] = CellList()
+            return lst
+        same = self.same[owner]
+        lst = same.get(neighbor_level)
+        if lst is None:
+            lst = same[neighbor_level] = CellList()
+        return lst
 
     def _link(self, h: EdgeHandle) -> None:
         lo, hi = h.lo, h.hi
@@ -178,7 +188,7 @@ class LevelPartition:
         cum = self.below[x].size
         k = 0
         for j in range(i, self.L + 1):
-            cum += same_x[j].size
+            cum += same_x.get(j, EMPTY_CELLS).size
             self.cells_touched += 1
             if j > i and cum <= self.pow[j]:
                 k = j
@@ -191,21 +201,20 @@ class LevelPartition:
         if self.move_listener is not None:
             self.move_listener(x, i, k)
 
-        below_x = self.below[x]
+        self.level[x] = k  # first, so that _home files every band j < k as below
         for j in range(i, k):
-            below_x.steal(same_x[j])
+            lst = same_x.pop(j, None)
+            if lst is not None:
+                self._home(x, j).steal(lst)
             self.cells_touched += 1
-        self.level[x] = k
 
         # Re-home x in every neighbor at level <= k; bands above k keep x below.
-        for cell in below_x.cells():
+        for cell in self.below[x].cells():
             self._rehome_twin(cell, i, k)
-        for cell in same_x[k].cells():
+        for cell in same_x.get(k, EMPTY_CELLS).cells():
             self._rehome_twin(cell, i, k)
         self._recheck(x)
-
-        assert below_x.size + same_x[k].size <= self.pow[k]
-        assert below_x.size >= self.pow[k - 1]
+        self._check_landing(x)
         return k
 
     def demote(self, x: int) -> int:
@@ -232,33 +241,41 @@ class LevelPartition:
         if self.move_listener is not None:
             self.move_listener(x, i, k)
 
+        level[x] = k  # first, so that _home files each cell by the new level
         for cell in below_x.cells():
             ju = level[cell.neighbor]
             if ju >= k:
                 below_x.remove(cell)
-                same_x[ju].append(cell)
+                self._home(x, ju).append(cell)
                 self.cells_touched += 1
-        self.level[x] = k
 
         for cell in below_x.cells():
             self._rehome_twin(cell, i, k)
         for j in range(k, i + 1):
-            for cell in same_x[j].cells():
+            for cell in same_x.get(j, EMPTY_CELLS).cells():
                 self._rehome_twin(cell, i, k)
         self._recheck(x)
-
-        assert below_x.size + same_x[k].size <= self.pow[k]
-        assert k == BOTTOM_LEVEL or below_x.size >= self.pow[k - 1]
+        self._check_landing(x)
         return k
+
+    def _check_landing(self, x: int) -> None:
+        """Raise unless a moved vertex sits inside the band of its new level."""
+        k = self.level[x]
+        below = self.below[x].size
+        at = self.same[x].get(k, EMPTY_CELLS).size
+        if below + at > self.pow[k] or (k > BOTTOM_LEVEL and below < self.pow[k - 1]):
+            raise InternalInvariantViolation(
+                f"vertex {x} landed at level {k} outside its band: "
+                f"{below} below, {at} at its level"
+            )
 
     def _rehome_twin(self, cell: Cell, old: int, new: int) -> None:
         """Fix x's cell inside one neighbor's lists after x moved old -> new."""
         u = cell.neighbor
         h = cell.handle
         twin = h.cell_lo if u == h.lo else h.cell_hi
-        ju = self.level[u]
-        src = self.below[u] if old < ju else self.same[u][old]
-        dst = self.below[u] if new < ju else self.same[u][new]
+        src = self._home(u, old)
+        dst = self._home(u, new)
         if src is not dst:
             src.remove(twin)
             dst.append(twin)
@@ -276,7 +293,9 @@ class LevelPartition:
                 slack = self.pow[lv - 1] - self.below[v].size
                 if slack > 0:
                     ledger.vertex_tokens[v] = slack / (2 * self.beta)
-            for lst in (self.below[v], *self.same[v][lv:]):
+            same_v = self.same[v]
+            bands = (same_v.get(j, EMPTY_CELLS) for j in range(lv, self.L + 1))
+            for lst in (self.below[v], *bands):
                 for cell in lst.cells():
                     u = cell.neighbor
                     if v < u:

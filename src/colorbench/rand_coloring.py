@@ -7,9 +7,8 @@ neighbor strictly below. Drawing a unique color pushes the conflict to that
 single lower-level neighbor, so recolor chains descend strictly and die out
 within the level range.
 
-Adaptive mode (``set_adaptive``) clamps every vertex's palette to
-{1, ..., degree+1} and recolors a vertex whose color an edge deletion
-strands above that bound.
+Adaptive mode clamps every vertex's palette to {1, ..., degree+1} and
+recolors a vertex whose color an edge deletion strands above that bound.
 """
 
 from __future__ import annotations
@@ -123,13 +122,20 @@ class RandVertexColoring:
         chain: List[Tuple[int, int]] = []
         pool_min = self._recolor(v, chain, self.hier.L + 1)
         self.recolor_total += len(chain)
-        assert len(chain) <= self.hier.L - 3, "recolor chain exceeded level range"
+        if len(chain) > self.hier.L - 3:
+            raise InternalInvariantViolation(
+                f"recolor chain of {len(chain)} exceeded the level range"
+            )
         return chain, pool_min
 
     def _recolor(self, v: int, chain: List[Tuple[int, int]], parent_level: int) -> int:
         hl = self.hier
         i = hl.level[v]
-        assert i < parent_level, "recolor chain must descend in level"
+        if i >= parent_level:
+            raise InternalInvariantViolation(
+                f"recolor chain did not descend: vertex {v} at level {i}, "
+                f"parent at level {parent_level}"
+            )
 
         below = hl.below[v]
         counts: Dict[int, int] = {}
@@ -170,7 +176,7 @@ class RandVertexColoring:
         if c > self.max_color_seen:
             self.max_color_seen = c
 
-        for lst in (below, hl.same[v][i]):
+        for lst in (below, hl.same_list(v, i)):
             for cell in lst.cells():
                 w = cell.neighbor
                 self._drop(w, old)
@@ -208,10 +214,6 @@ class RandVertexColoring:
             else:
                 view.twice_plus.append(c)
         return view
-
-    def set_adaptive(self, flag: bool) -> None:
-        """Toggle degree-clamped palettes for future pool computations."""
-        self.adaptive = flag
 
     # -- color table maintenance ----------------------------------------------------
 
@@ -255,7 +257,7 @@ class RandVertexColoring:
         cx = chi[x]
         if k > i:
             for j in range(i, k + 1):
-                lst = hl.same[x][j]
+                lst = hl.same_list(x, j)
                 for cell in lst.cells():
                     y = cell.neighbor
                     if j > i:
@@ -265,7 +267,7 @@ class RandVertexColoring:
                 self.cells += lst.size
         else:
             level = hl.level
-            for lst in (hl.below[x], hl.same[x][i]):
+            for lst in (hl.below[x], hl.same_list(x, i)):
                 for cell in lst.cells():
                     y = cell.neighbor
                     jy = level[y]
@@ -279,6 +281,3 @@ class RandVertexColoring:
 
     def colors(self) -> List[int]:
         return list(self.chi)
-
-    def palette_limit(self, v: int) -> int:
-        return self.graph.degree(v) + 1 if self.adaptive else self.palette

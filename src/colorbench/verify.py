@@ -118,7 +118,7 @@ def check_hierarchy(graph: DynamicGraph, part) -> AuditReport:
             if not level[u] < lv:
                 bad.append(("below-band", v, u, (level[u], lv)))
         for j in range(4, part.L + 1):
-            lst = part.same[v][j]
+            lst = part.same_list(v, j)
             count = 0
             for cell in lst.cells():
                 u = cell.neighbor

@@ -13,7 +13,7 @@ from colorbench import (
     new_graph,
 )
 from colorbench import verify
-from colorbench.det_coloring import DetParams
+from colorbench.det_coloring import NO_NEIGHBORS, DetParams
 from colorbench.harness import TraceSpec, generate, make_engine
 
 
@@ -104,8 +104,8 @@ def test_repair_events_name_vertex_index_and_tuples():
     g.insert(2, 3)
     L = eng.params.levels
     for j in range(L + 1):
-        eng.nstar[2][j].add(3)
-        eng.nstar[3][j].add(2)
+        eng.nstar[2][j] = {3}
+        eng.nstar[3][j] = {2}
     eng.phi += 2 * (L + 1)
     for x in (2, 3):
         eng._queue.append(x)
@@ -132,6 +132,18 @@ def test_delete_updates_every_shared_prefix_level():
     g.delete(0, 1)
     assert eng.potential() == phi0 - 2 * (i + 1)
     assert all(not s for s in eng.nstar[0])
+    assert verify.check_tuple_state(g, eng).passed
+
+
+def test_deleting_every_edge_returns_every_class_to_the_shared_empty_set():
+    g, eng = make_engine("det-vc", 60, 16, seed=4)
+    for ev in generate(TraceSpec(60, 16, 2000, 13, "insert-heavy")):
+        g.apply(ev)
+    assert eng.fix_iterations_total > 0
+    for h in list(g.edges()):
+        g.delete(h.lo, h.hi)
+    assert all(cls is NO_NEIGHBORS for classes in eng.nstar for cls in classes)
+    assert eng.potential() == 0
     assert verify.check_tuple_state(g, eng).passed
 
 

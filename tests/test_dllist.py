@@ -2,7 +2,10 @@
 
 import random
 
-from colorbench.dllist import Cell, CellList
+import pytest
+
+from colorbench import InternalInvariantViolation
+from colorbench.dllist import EMPTY_CELLS, Cell, CellList
 
 
 def contents(lst):
@@ -79,3 +82,15 @@ def test_random_ops_match_model():
             lst.append(c)
         assert len(lst) == len(model)
     assert contents(lst) == [c.neighbor for c in model]
+
+
+def test_shared_empty_list_refuses_writes():
+    full = CellList()
+    full.append(Cell(1))
+    with pytest.raises(InternalInvariantViolation):
+        EMPTY_CELLS.append(Cell(2))
+    with pytest.raises(InternalInvariantViolation):
+        EMPTY_CELLS.steal(full)
+    full.steal(EMPTY_CELLS)
+    assert EMPTY_CELLS.size == 0 and EMPTY_CELLS.head is None
+    assert contents(full) == [1]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from colorbench import InvalidBase, new_graph
+from colorbench import InternalInvariantViolation, InvalidBase, new_graph
 from colorbench.dllist import Cell
 from colorbench.graph import EdgeHandle
 from colorbench.hierarchy import LevelPartition
@@ -89,6 +89,23 @@ def test_promotion_skips_levels_when_band_full():
     g.insert(0, 33)
     assert p.level_of(0) == 6  # 33 <= 64
     assert check_hierarchy(g, p).passed
+
+
+def test_move_that_leaves_its_band_raises():
+    # beta=2. Five level-4 neighbors fit level 4; promoting anyway lands at 5
+    # with 5 below, under the 2**4 arrival bar.
+    g, p = attach(40, 32, beta=2)
+    for v in range(1, 6):
+        g.insert(0, v)
+    with pytest.raises(InternalInvariantViolation):
+        p.promote(0)
+    # Seventeen leaves hold vertex 0 at level 5; demoting it anyway would put
+    # all 17 at level 4, over the 2**4 band.
+    g, p = attach(40, 32, beta=2)
+    for v in range(1, 18):
+        g.insert(0, v)
+    with pytest.raises(InternalInvariantViolation):
+        p.demote(0)
 
 
 # -- demotion -----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import random
 
-from colorbench import RandVertexColoring, new_graph
+import pytest
+
+from colorbench import InternalInvariantViolation, RandVertexColoring, new_graph
 from colorbench import verify
 from colorbench.harness import TraceSpec, generate, make_engine
 
@@ -190,6 +192,13 @@ def test_chain_length_within_level_range():
     for ev in events:
         r = g.apply(ev)
         assert r.stats["chain_len_max"] <= cap
+
+
+def test_recolor_that_does_not_descend_raises():
+    g = new_graph(4, 8)
+    eng = RandVertexColoring(g, seed=1)
+    with pytest.raises(InternalInvariantViolation):
+        eng._recolor(0, [], parent_level=eng.hier.level[0])
 
 
 # -- table consistency across moves ------------------------------------------------
