@@ -1,11 +1,20 @@
 """(2*delta - 1) edge coloring with logarithmic worst-case work per update.
 
 Each vertex keeps its incident colors in an occupancy map plus an implicit
-complete binary counting tree over a power-of-two color range (pad leaves
-stay zero forever). Coloring an inserted edge binary-searches the range,
-descending into whichever half still has a color free at both endpoints;
-each probe is a single tree-node read because the search ranges coincide
-with tree nodes.
+complete binary counting tree. A vertex has no tree until its first edge; the
+tree then covers colors [1, cap], cap being the smallest power of two that
+holds every color the vertex has held, and doubles when a larger color lands
+there. A vertex of small degree therefore keeps a small tree whatever delta
+is, in fixed and adaptive mode alike.
+
+Coloring an inserted edge binary-searches [1, span + 1), where span is the
+palette rounded up to a power of two (fixed mode) or
+next_pow2(deg(u) + deg(v) - 1) (adaptive mode), descending into whichever
+half still has a color free at both endpoints. Where a search range is a
+node of an endpoint's tree, its count is one node read. Where the range is
+wider than the tree, the tree has no node for it: on the leftmost path the
+range holds all of the endpoint's colors, so the count is the root already
+in hand, and once the search turns right past the tree it holds none.
 
 The landing color never exceeds deg(u) + deg(v) - 1: every rejected left
 half was fully occupied, so the colors below the landing point are covered
@@ -13,13 +22,14 @@ by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
 what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 2*max(deg(u), deg(v)) - 1 per edge (adaptive mode).
 
-Adaptive mode grows trees on demand (capacity doubling) and, after a
-deletion shrinks an endpoint's degree, re-colors the at most two incident
-edges per endpoint whose colors the smaller palette no longer admits.
+After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
+most two incident edges per endpoint whose colors the smaller palette no
+longer admits.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
@@ -34,8 +44,8 @@ class CountingTree:
     """Implicit complete binary tree of occupancy bits with subtree counts.
 
     ``node[cap + c - 1]`` is color c's bit; every internal node holds the sum
-    of its children. Visit counts returned by mutators feed the worst-case
-    work instrumentation.
+    of its children; ``node[0]`` is unused. Visit counts returned by mutators
+    feed the worst-case work instrumentation.
     """
 
     __slots__ = ("cap", "node")
@@ -77,12 +87,31 @@ class CountingTree:
         return total, visits
 
     def grown(self, new_cap: int) -> "CountingTree":
-        assert new_cap >= self.cap and new_cap & (new_cap - 1) == 0
+        """A copy covering [1, new_cap]; new_cap is a power of two >= cap.
+
+        This tree becomes the subtree rooted at node new_cap // cap of the
+        wider one, so each of its rows is copied with one slice assignment;
+        the nodes above that subtree's root all hold the root count.
+        """
+        cap = self.cap
+        if new_cap < cap or new_cap & (new_cap - 1):
+            raise ValueError(f"cannot grow a tree of capacity {cap} to {new_cap}")
         t = CountingTree(new_cap)
-        t.node[new_cap : new_cap + self.cap] = self.node[self.cap : 2 * self.cap]
-        for i in range(new_cap - 1, 0, -1):
-            t.node[i] = t.node[2 * i] + t.node[2 * i + 1]
+        old, new = self.node, t.node
+        offset = new_cap // cap
+        width = 1
+        while width <= cap:
+            new[offset * width : (offset + 1) * width] = old[width : 2 * width]
+            width <<= 1
+        offset >>= 1
+        while offset:
+            new[offset] = old[1]
+            offset >>= 1
         return t
+
+
+# Stands in for the tree of a vertex that has never held a color; never written.
+_NO_COLORS = CountingTree(1)
 
 
 class EdgeColoring:
@@ -134,20 +163,19 @@ class EdgeColoring:
 
     # -- coloring ----------------------------------------------------------------
 
-    def _tree_for(self, v: int, cap: int) -> CountingTree:
+    def _tree_holding(self, v: int, c: int) -> CountingTree:
+        """v's tree, created or grown so that it covers color c."""
         t = self.tree[v]
         if t is None:
-            t = CountingTree(cap)
-            self.tree[v] = t
-        elif t.cap < cap:
-            t = t.grown(cap)
-            self.tree[v] = t
+            t = self.tree[v] = CountingTree(_next_pow2(c))
+        elif t.cap < c:
+            t = self.tree[v] = t.grown(_next_pow2(c))
         return t
 
     def color(self, h: EdgeHandle) -> Tuple[int, int]:
         """Assign a color to a present, currently uncolored edge.
 
-        Fig-style binary search over [1, R+1): keep the invariant that the
+        Fig-style binary search over [1, span+1): keep the invariant that the
         current range holds strictly fewer incident colors (over both
         endpoints) than slots, preferring the left half.
         """
@@ -158,25 +186,55 @@ class EdgeColoring:
             span = _next_pow2(max(1, du + dv - 1))
         else:
             span = self.cap
-        tu = self._tree_for(u, span)
-        tv = self._tree_for(v, span)
-        iu = tu.cap // span
-        iv = tv.cap // span
+        tu = self.tree[u] or _NO_COLORS
+        tv = self.tree[v] or _NO_COLORS
+        cu, cv = tu.cap, tv.cap
         nu, nv = tu.node, tv.node
-        su = nu[iu]
-        sv = nv[iv]
+        # iu == 0: u's tree has no node for the current range (see module doc)
+        iu = cu // span
+        iv = cv // span
+        su = nu[iu or 1]
+        sv = nv[iv or 1]
         visits = 2
         size = span
         lo = 1
-        while True:
+        self.invariant_checks += 1
+        if su + sv >= size:
+            raise self._search_full(lo, size, u, v)
+        # While a tree has no node for the range, its share of a half is all
+        # of its colors on the leftmost path and none past the tree.
+        while size > 1 and not (iu and iv):
+            size >>= 1
+            if lo == 1:
+                iu = cu // size
+                iv = cv // size
+            else:
+                iu <<= 1
+                iv <<= 1
+            if iu:
+                lu = nu[iu]
+                visits += 1
+            else:
+                lu = su
+            if iv:
+                lv = nv[iv]
+                visits += 1
+            else:
+                lv = sv
+            if lu + lv < size:
+                su, sv = lu, lv
+            else:
+                su -= lu
+                sv -= lv
+                lo += size
+                # node 1 is a root: the range right of it is past the tree
+                iu = iu + 1 if iu > 1 else 0
+                iv = iv + 1 if iv > 1 else 0
             self.invariant_checks += 1
             if su + sv >= size:
-                self.invariant_failures += 1
-                raise InternalInvariantViolation(
-                    f"search range [{lo}, {lo + size}) full while coloring ({u}, {v})"
-                )
-            if size == 1:
-                break
+                raise self._search_full(lo, size, u, v)
+        # Both trees have a node for every range from here down.
+        while size > 1:
             size >>= 1
             iu <<= 1
             iv <<= 1
@@ -188,22 +246,36 @@ class EdgeColoring:
             else:
                 su -= lu
                 sv -= lv
+                lo += size
                 iu += 1
                 iv += 1
-                lo += size
+            self.invariant_checks += 1
+            if su + sv >= size:
+                raise self._search_full(lo, size, u, v)
 
         c = lo
         # rejected left halves were full, so colors below c are covered by
         # the <= du+dv-2 already-colored incident edges
-        assert c <= du + dv - 1
+        if c > du + dv - 1:
+            self.invariant_failures += 1
+            raise InternalInvariantViolation(
+                f"color {c} for ({u}, {v}) above deg(u) + deg(v) - 1 = {du + dv - 1}"
+            )
         h.color = c
         self.held[u][c] = h
         self.held[v][c] = h
-        visits += tu.add(c, 1)
-        visits += tv.add(c, 1)
+        visits += self._tree_holding(u, c).add(c, 1)
+        visits += self._tree_holding(v, c).add(c, 1)
         if c > self.max_color_seen:
             self.max_color_seen = c
         return c, visits
+
+    def _search_full(self, lo: int, size: int, u: int, v: int) -> Exception:
+        """Count a search range found full; returns the exception to raise."""
+        self.invariant_failures += 1
+        return InternalInvariantViolation(
+            f"search range [{lo}, {lo + size}) full while coloring ({u}, {v})"
+        )
 
     def _uncolor(self, h: EdgeHandle) -> int:
         c = h.color
@@ -240,16 +312,19 @@ class EdgeColoring:
     # -- queries -----------------------------------------------------------------
 
     def range_count(self, v: int, a: int, b: int) -> int:
-        """Occupied colors of v in [a, b); answered from the counting tree."""
-        end = self.palette + 1 if self.palette is not None else (
-            self.tree[v].cap + 1 if self.tree[v] is not None else 2
-        )
-        if not 1 <= a <= b <= end:
-            raise RangeOutOfBounds(f"range [{a}, {b}) outside [1, {end})")
+        """Occupied colors of v in [a, b); answered from the counting tree.
+
+        The range must lie in [1, palette + 1); in adaptive mode the palette
+        is the largest one any edge can get, 2 * (n - 1). Colors above v's
+        tree are not held by v and count as 0.
+        """
+        palette = self.palette or max(1, 2 * (self.graph.n - 1))
+        if not 1 <= a <= b <= palette + 1:
+            raise RangeOutOfBounds(f"range [{a}, {b}) outside [1, {palette + 1})")
         t = self.tree[v]
         if t is None:
             return 0
-        count, _ = t.count_range(a, min(b, t.cap + 1))
+        count, _ = t.count_range(min(a, t.cap + 1), min(b, t.cap + 1))
         return count
 
     def edge_colors(self) -> Dict[Tuple[int, int], int]:
@@ -263,19 +338,41 @@ class EdgeColoring:
     # -- structural self-check ------------------------------------------------------
 
     def self_check(self) -> None:
-        """Rebuild every bitmap/tree from the occupancy maps and compare."""
-        for v in range(self.graph.n):
-            t = self.tree[v]
-            holds = self.held[v]
-            assert len(holds) == self.graph.degree(v)
-            if t is None:
-                assert not holds
-                continue
-            for c, h in holds.items():
-                assert h.color == c and v in (h.lo, h.hi)
-            for c in range(1, t.cap + 1):
-                bit = t.node[t.cap + c - 1]
-                assert bit == (1 if c in holds else 0), (v, c)
-            for i in range(1, t.cap):
-                assert t.node[i] == t.node[2 * i] + t.node[2 * i + 1]
-            assert t.node[1] == len(holds)
+        """Rebuild every tree from the occupancy maps and compare.
+
+        Raises InternalInvariantViolation naming the first vertex whose
+        occupancy map or tree disagrees.
+        """
+        degree = self.graph.degree
+        for v, (t, holds) in enumerate(zip(self.tree, self.held)):
+            problem = _tree_problem(v, t, holds, degree(v))
+            if problem:
+                raise InternalInvariantViolation(f"vertex {v}: {problem}")
+
+
+def _tree_problem(
+    v: int, t: Optional[CountingTree], holds: Dict[int, EdgeHandle], degree: int
+) -> str:
+    """What is wrong with vertex v's colors and tree, or '' if nothing."""
+    if len(holds) != degree:
+        return f"holds {len(holds)} colors at degree {degree}"
+    if t is None:
+        return "holds colors but has no tree" if holds else ""
+    cap, node = t.cap, t.node
+    bits = [0] * cap
+    for c, h in holds.items():
+        if h.color != c or v not in (h.lo, h.hi):
+            return f"color {c} maps to {h!r} colored {h.color}"
+        if not 1 <= c <= cap:
+            return f"color {c} outside its tree's range [1, {cap}]"
+        bits[c - 1] = 1
+    row = node[cap:]
+    if row != bits:
+        return "leaf row differs from the held colors"
+    width = cap
+    while width > 1:
+        row = list(map(add, row[0::2], row[1::2]))
+        width >>= 1
+        if node[width : 2 * width] != row:
+            return f"row of {width} nodes is not the sum of the row below"
+    return ""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 from . import verify
 from .det_coloring import GreedyVertexColoring, make_det_engine
 from .edge_coloring import EdgeColoring
-from .errors import InvalidSpec, TraceParseError
+from .errors import InternalInvariantViolation, InvalidSpec, TraceParseError
 from .graph import DELETE, INSERT, DynamicGraph, UpdateEvent
 from .rand_coloring import RandVertexColoring
 
@@ -344,7 +344,7 @@ def audit_engine(
             try:
                 engine.self_check()
                 reports.append(("tree-rebuild", verify.AuditReport(True)))
-            except AssertionError as exc:
+            except InternalInvariantViolation as exc:
                 reports.append(
                     ("tree-rebuild", verify.AuditReport(False, [("tree", str(exc))]))
                 )

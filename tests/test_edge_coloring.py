@@ -1,16 +1,24 @@
 """Edge coloring: search goldens, tree queries, worst-case work, adaptive."""
 
+import csv
+import hashlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colorbench import EdgeColoring, RangeOutOfBounds, new_graph
+import colorbench
+from colorbench import EdgeColoring, InternalInvariantViolation, RangeOutOfBounds, new_graph
 from colorbench import verify
 from colorbench.edge_coloring import CountingTree, _next_pow2
-from colorbench.harness import TraceSpec, generate, make_engine
+from colorbench.harness import TraceSpec, audit_engine, generate, make_engine, run
 
 
 # -- counting tree -----------------------------------------------------------------
@@ -53,6 +61,29 @@ def test_tree_grow_preserves_counts():
 
 
 @given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+def test_grown_equals_tree_rebuilt_from_the_same_leaves(log_cap, log_factor, data):
+    cap = 1 << log_cap
+    new_cap = cap << log_factor
+    colors = data.draw(st.sets(st.integers(min_value=1, max_value=cap)))
+    t = CountingTree(cap)
+    rebuilt = CountingTree(new_cap)
+    for c in colors:
+        t.add(c, 1)
+        rebuilt.add(c, 1)
+    assert t.grown(new_cap).node == rebuilt.node
+
+
+def test_grown_refuses_a_narrower_or_uneven_capacity():
+    for bad in (2, 12):
+        with pytest.raises(ValueError):
+            CountingTree(4).grown(bad)
+
+
+@given(
     st.lists(st.integers(min_value=1, max_value=64), max_size=80),
     st.integers(min_value=1, max_value=65),
     st.integers(min_value=0, max_value=64),
@@ -92,6 +123,20 @@ def test_star_fills_colors_in_order():
     ec = EdgeColoring(g)
     got = [g.insert(0, v).stats["color_assigned"] for v in range(1, 10)]
     assert got == list(range(1, 10))
+
+
+def test_tree_width_follows_the_largest_color_held():
+    g = new_graph(40, 32)
+    ec = EdgeColoring(g)
+    assert ec.tree == [None] * 40
+    for v in range(1, 10):
+        g.insert(0, v)  # the star's edges take colors 1..9 in order
+    assert ec.tree[0].cap == 16
+    assert [ec.tree[v].cap for v in range(1, 10)] == [1, 2, 4, 4, 8, 8, 8, 8, 16]
+    for v in range(1, 10):
+        g.delete(0, v)
+    assert ec.tree[0].cap == 16  # a tree never narrows
+    ec.self_check()
 
 
 def test_insert_delete_round_trip_restores_empty_state():
@@ -179,6 +224,21 @@ def test_range_count_bounds_checked():
         ec.range_count(0, 5, 4)
 
 
+def test_adaptive_range_count_reaches_past_a_small_tree():
+    n = 6
+    g = new_graph(n, None)
+    ec = EdgeColoring(g, adaptive=True)
+    g.insert(0, 1)
+    g.insert(0, 2)
+    assert ec.tree[1].cap == 1
+    assert ec.range_count(1, 1, 2 * (n - 1) + 1) == 1
+    assert ec.range_count(1, 2, 9) == 0  # above the tree: v holds none of them
+    assert ec.range_count(0, 2, 11) == 1
+    assert ec.range_count(5, 1, 11) == 0  # no tree yet
+    with pytest.raises(RangeOutOfBounds):
+        ec.range_count(1, 1, 2 * (n - 1) + 2)
+
+
 # -- adaptive mode -------------------------------------------------------------------------
 
 
@@ -226,3 +286,108 @@ def test_adaptive_random_trace_palette_per_edge():
             assert c <= 2 * max(g.degree(u), g.degree(v)) - 1
     assert verify.check_proper_edge(g, ec.edge_colors()).passed
     ec.self_check()
+
+
+# -- search versus a full-width reference -------------------------------------------------
+
+
+def reference_color(ec, u, v, span):
+    """The search run on full-width bitmaps rebuilt from the occupancy maps."""
+    held = set(ec.held[u]), set(ec.held[v])
+    lo, size = 1, span
+    while size > 1:
+        size >>= 1
+        left = sum(sum(1 for c in hs if lo <= c < lo + size) for hs in held)
+        if left >= size:
+            lo += size
+    return lo
+
+
+@pytest.mark.parametrize("delta, mode", [(64, "uniform-random"), (None, "sliding-window")])
+def test_narrow_trees_pick_the_full_width_color(delta, mode):
+    g, ec = make_engine("edge-c", 60, delta, seed=4)
+    expected = []
+    color = ec.color
+
+    def checked_color(h):
+        if delta is None:
+            span = _next_pow2(max(1, g.degree(h.lo) + g.degree(h.hi) - 1))
+        else:
+            span = ec.cap
+        expected.append(reference_color(ec, h.lo, h.hi, span))
+        c, visits = color(h)
+        assert c == expected[-1]
+        return c, visits
+
+    ec.color = checked_color
+    for ev in generate(TraceSpec(60, delta, 3000, 5, mode)):
+        g.apply(ev)
+    assert len(expected) > 1500
+    ec.self_check()
+
+
+# -- golden colors ---------------------------------------------------------------------------
+
+# sha256 of the color_assigned column and of the sorted final edge_colors()
+# items, recorded with full-width trees on every touched vertex.
+GOLDEN = {
+    (400, 64, 11, "uniform-random"): (
+        "fefb784181b75355125e6d4987da323fc2e108f7f07dc69e9ef8696ea157cd9d",
+        "34353e22ad859dcd9f09b60e3286b85c27b04862782567782ae12c20bd352b0e",
+    ),
+    (300, None, 12, "sliding-window"): (
+        "03fe150ab77ba2438b1c8388efaeba5688a19893dc653f10084f66e0a6db89a9",
+        "bd0dc02e2b0e63c83b59dbf8f8b75390a9bdf4822762cbfe1fd8e253e1fdf4c9",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, delta, seed, mode", sorted(GOLDEN, key=str))
+def test_colors_match_the_full_width_golden(n, delta, seed, mode):
+    spec = TraceSpec(n, delta, 6000, seed, mode)
+    buf = io.StringIO()
+    res = run(generate(spec), "edge-c", n, delta, seed=seed, audit_every=500, metrics_out=buf)
+    assert res.exit_code == 0
+    column = [row["color_assigned"] for row in csv.DictReader(io.StringIO(buf.getvalue()))]
+    final = sorted(res.engine_obj.edge_colors().items())
+    assert (
+        hashlib.sha256(",".join(column).encode()).hexdigest(),
+        hashlib.sha256(repr(final).encode()).hexdigest(),
+    ) == GOLDEN[(n, delta, seed, mode)]
+
+
+# -- self-check ------------------------------------------------------------------------------
+
+
+def corrupted_engine():
+    g, ec = make_engine("edge-c", 30, 8, seed=1)
+    for ev in generate(TraceSpec(30, 8, 300, 2, "uniform-random")):
+        g.apply(ev)
+    v = next(v for v, t in enumerate(ec.tree) if t is not None and t.cap > 1)
+    ec.tree[v].node[1] += 1
+    return g, ec, v
+
+
+def test_corrupted_tree_fails_the_rebuild_audit():
+    g, ec, v = corrupted_engine()
+    with pytest.raises(InternalInvariantViolation, match=f"vertex {v}:"):
+        ec.self_check()
+    reports = dict(audit_engine("edge-c", g, ec, deep=True))
+    assert not reports["tree-rebuild"].passed
+    assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
+
+
+def test_corrupted_tree_fails_the_rebuild_audit_under_python_O():
+    script = (
+        "from test_edge_coloring import corrupted_engine\n"
+        "from colorbench.harness import audit_engine\n"
+        "g, ec, v = corrupted_engine()\n"
+        "print(dict(audit_engine('edge-c', g, ec, deep=True))['tree-rebuild'].passed)\n"
+    )
+    path = [str(Path(colorbench.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,11 @@
-"""Memory of an empty engine: per-vertex state must not scale with the level count."""
+"""Engine memory: per-vertex state must not scale with the level count or with delta."""
 
 import gc
 import tracemalloc
 
 import pytest
 
-from colorbench.harness import make_engine
+from colorbench.harness import TraceSpec, generate, make_engine
 
 N = 20_000
 # An eager layout adds one container per vertex and level; the smallest, an
@@ -35,3 +35,21 @@ def test_empty_engine_bytes_per_vertex_do_not_grow_with_levels(name):
     (few, fewer_bytes), (many, more_bytes) = measured
     assert few < many
     assert more_bytes - fewer_bytes <= MAX_BYTES_PER_LEVEL * (many - few), measured
+
+
+def test_edge_coloring_bytes_per_edge_do_not_grow_with_delta():
+    # A sparse graph at delta=1024: a tree as wide as the palette would cost
+    # about 32 KB per touched vertex.
+    n, delta = 4000, 1024
+    events = generate(TraceSpec(n, delta, 6000, 3, "insert-heavy"))
+    graph, _ = make_engine("edge-c", n, delta)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for ev in events:
+            graph.apply(ev)
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert used / graph.num_edges <= 1024, (used, graph.num_edges)
