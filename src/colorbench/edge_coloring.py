@@ -22,6 +22,10 @@ by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
 what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 2*max(deg(u), deg(v)) - 1 per edge (adaptive mode).
 
+Growing a tree copies its rows into a wider one; that copying is not
+counted in the tree_visits and cells_touched statistics, which count node
+reads and writes of the search and of the add/remove walks only.
+
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
 longer admits.
@@ -201,9 +205,9 @@ class EdgeColoring:
         self.invariant_checks += 1
         if su + sv >= size:
             raise self._search_full(lo, size, u, v)
-        # While a tree has no node for the range, its share of a half is all
-        # of its colors on the leftmost path and none past the tree.
-        while size > 1 and not (iu and iv):
+        # A tree with no node for the range (index 0) has all of its colors
+        # in it on the leftmost path and none once the search is past the tree.
+        while size > 1:
             size >>= 1
             if lo == 1:
                 iu = cu // size
@@ -230,25 +234,6 @@ class EdgeColoring:
                 # node 1 is a root: the range right of it is past the tree
                 iu = iu + 1 if iu > 1 else 0
                 iv = iv + 1 if iv > 1 else 0
-            self.invariant_checks += 1
-            if su + sv >= size:
-                raise self._search_full(lo, size, u, v)
-        # Both trees have a node for every range from here down.
-        while size > 1:
-            size >>= 1
-            iu <<= 1
-            iv <<= 1
-            lu = nu[iu]
-            lv = nv[iv]
-            visits += 2
-            if lu + lv < size:
-                su, sv = lu, lv
-            else:
-                su -= lu
-                sv -= lv
-                lo += size
-                iu += 1
-                iv += 1
             self.invariant_checks += 1
             if su + sv >= size:
                 raise self._search_full(lo, size, u, v)
