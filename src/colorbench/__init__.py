@@ -22,7 +22,6 @@ from .det_coloring import (
 )
 from .edge_coloring import CountingTree, EdgeColoring
 from .errors import (
-    AuditFailure,
     ColorbenchError,
     DegreeBoundExceeded,
     DeltaTooSmall,
@@ -41,7 +40,6 @@ from .hierarchy import LevelPartition, TokenLedger
 from .rand_coloring import BlankUniqueView, RandVertexColoring
 
 __all__ = [
-    "AuditFailure",
     "BlankUniqueView",
     "ColorbenchError",
     "CountingTree",

@@ -110,6 +110,11 @@ class DetParams:
 class TupleVertexColoring:
     """Deterministic lam**L-palette engine for a degree-bounded graph."""
 
+    # the keys of every on_insert / on_delete receipt, in order
+    RECEIPT_FIELDS = (
+        "fix_iterations", "coords_rewritten", "phi_before", "phi_after", "cells_touched"
+    )
+
     def __init__(self, graph: DynamicGraph, params: DetParams | None = None):
         if graph.max_degree is None:
             raise ValueError("tuple coloring needs a fixed degree bound")
@@ -340,6 +345,9 @@ class GreedyVertexColoring:
     """O(delta) baseline: a conflicting insert rescans one endpoint's
     neighborhood and takes the smallest free color."""
 
+    # the keys of every on_insert / on_delete receipt, in order
+    RECEIPT_FIELDS = ("recolor_calls", "cells_touched")
+
     def __init__(self, graph: DynamicGraph, palette: int | None = None):
         self.graph = graph
         if palette is None:
@@ -348,7 +356,6 @@ class GreedyVertexColoring:
         self.palette = palette
         self.chi = [1] * graph.n
         self.cells = 0
-        self.recolor_total = 0
         graph.attach(self)
 
     def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
@@ -367,7 +374,6 @@ class GreedyVertexColoring:
             self.cells += c
             chi[v] = c
             recolors = 1
-            self.recolor_total += 1
         return {"recolor_calls": recolors, "cells_touched": self.cells - c0}
 
     def on_delete(self, h: EdgeHandle) -> Dict[str, int]:

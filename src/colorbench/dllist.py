@@ -89,12 +89,6 @@ class CellList:
             yield cur
             cur = nxt
 
-    def neighbors(self) -> Iterator[int]:
-        cur = self.head
-        while cur is not None:
-            yield cur.neighbor
-            cur = cur.next
-
 
 class _EmptyCellList(CellList):
     """Read-only empty list; writing to it would change every reader's view."""

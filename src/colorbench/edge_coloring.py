@@ -121,6 +121,9 @@ _NO_COLORS = CountingTree(1)
 class EdgeColoring:
     """Edge-coloring engine; fixed palette 2*delta-1 or adaptive per-edge."""
 
+    # the keys of every on_insert / on_delete receipt, in order
+    RECEIPT_FIELDS = ("tree_visits", "recolored_edges", "color_assigned", "cells_touched")
+
     def __init__(self, graph: DynamicGraph, adaptive: bool = False):
         self.graph = graph
         self.adaptive = adaptive

@@ -51,7 +51,3 @@ class TraceParseError(ColorbenchError):
 
 class InvalidSpec(ColorbenchError):
     """Trace generator parameters are unusable."""
-
-
-class AuditFailure(ColorbenchError):
-    """An oracle audit reported violations during a harness run."""

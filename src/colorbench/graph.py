@@ -8,11 +8,12 @@ the engine's instrumentation comes back in the receipt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from .errors import (
     DegreeBoundExceeded,
     DuplicateEdge,
+    InternalInvariantViolation,
     MissingEdge,
     SelfLoop,
     UnknownVertex,
@@ -45,9 +46,6 @@ class EdgeHandle:
     def other(self, v: int) -> int:
         return self.hi if v == self.lo else self.lo
 
-    def endpoints(self) -> Tuple[int, int]:
-        return (self.lo, self.hi)
-
     def __repr__(self) -> str:
         return f"EdgeHandle({self.lo}, {self.hi})"
 
@@ -78,6 +76,9 @@ class DynamicGraph:
     ``max_degree=None`` selects adaptive mode: no bound is enforced and the
     attached engine is expected to track live degrees itself. Single-writer;
     do not interleave queries with ``apply`` from other threads.
+
+    An engine that raises leaves it out of step with the adjacency, which
+    changed first; the graph then refuses every later update.
     """
 
     def __init__(self, n: int, max_degree: Optional[int] = None):
@@ -91,6 +92,7 @@ class DynamicGraph:
         self.num_edges = 0
         self.seq = 0
         self.engine = None
+        self._failed_seq: Optional[int] = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -134,6 +136,11 @@ class DynamicGraph:
     # -- updates -----------------------------------------------------------
 
     def apply(self, event: UpdateEvent) -> UpdateReceipt:
+        if self._failed_seq is not None:
+            raise InternalInvariantViolation(
+                f"update {self._failed_seq} failed in the engine; "
+                "the graph and the engine are out of step"
+            )
         u, v = event.u, event.v
         self._check_vertex(u)
         self._check_vertex(v)
@@ -156,20 +163,25 @@ class DynamicGraph:
             self._adj[lo][hi] = h
             self._adj[hi][lo] = h
             self.num_edges += 1
-            self.seq += 1
-            stats = self.engine.on_insert(h) if self.engine is not None else {}
         elif event.kind == DELETE:
             h = self._adj[lo].pop(hi, None)
             if h is None:
                 raise MissingEdge(f"edge ({lo}, {hi}) not present")
             del self._adj[hi][lo]
             self.num_edges -= 1
-            self.seq += 1
-            stats = self.engine.on_delete(h) if self.engine is not None else {}
         else:
             raise ValueError(f"unknown update kind {event.kind!r}")
+        self.seq += 1
 
-        return UpdateReceipt(self.seq, event.kind, lo, hi, stats or {})
+        engine = self.engine
+        if engine is None:
+            return UpdateReceipt(self.seq, event.kind, lo, hi, {})
+        try:
+            stats = engine.on_insert(h) if event.kind == INSERT else engine.on_delete(h)
+        except BaseException:
+            self._failed_seq = self.seq
+            raise
+        return UpdateReceipt(self.seq, event.kind, lo, hi, stats)
 
     def insert(self, u: int, v: int) -> UpdateReceipt:
         return self.apply(UpdateEvent(INSERT, u, v))
@@ -180,17 +192,25 @@ class DynamicGraph:
     # -- structural self-check ----------------------------------------------
 
     def check_adjacency(self) -> None:
-        """Full-scan structural audit; raises AssertionError on corruption."""
-        total = 0
-        for u in range(self.n):
-            for v, h in self._adj[u].items():
-                assert u != v, "self-loop stored"
-                assert self._adj[v].get(u) is h, "cookie does not resolve"
-                assert (h.lo, h.hi) == ((u, v) if u < v else (v, u))
-                total += 1
-        assert total == 2 * self.num_edges, "degree sum != 2|E|"
-        if self.max_degree is not None:
-            assert all(len(a) <= self.max_degree for a in self._adj)
+        """Full-scan structural audit; raises InternalInvariantViolation
+        naming the first vertex whose adjacency is corrupt."""
+        adj = self._adj
+        for u, nbrs in enumerate(adj):
+            if self.max_degree is not None and len(nbrs) > self.max_degree:
+                raise InternalInvariantViolation(
+                    f"vertex {u}: degree {len(nbrs)} above the bound {self.max_degree}"
+                )
+            for v, h in nbrs.items():
+                back = adj[v].get(u)
+                if u == v or back is not h or (h.lo, h.hi) != (min(u, v), max(u, v)):
+                    raise InternalInvariantViolation(
+                        f"vertex {u}: edge to {v} is {h!r} here and {back!r} at {v}"
+                    )
+        total = sum(map(len, adj))
+        if total != 2 * self.num_edges:
+            raise InternalInvariantViolation(
+                f"degree sum {total} != 2 * {self.num_edges} edges"
+            )
 
 
 def new_graph(n: int, max_degree: Optional[int] = None) -> DynamicGraph:

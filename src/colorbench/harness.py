@@ -11,6 +11,7 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import verify
@@ -23,26 +24,10 @@ from .rand_coloring import RandVertexColoring
 MODES = ("uniform-random", "insert-heavy", "sliding-window", "conflict-heavy")
 ENGINES = ("rand-vc", "det-vc", "edge-c", "greedy-baseline")
 
-CSV_FIELDS = (
-    "sequence_number",
-    "engine",
-    "kind",
-    "u",
-    "v",
-    "recolor_calls",
-    "chain_len_max",
-    "pool_size_min",
-    "level_moves",
-    "fix_iterations",
-    "coords_rewritten",
-    "phi_before",
-    "phi_after",
-    "tree_visits",
-    "recolored_edges",
-    "color_assigned",
-    "cells_touched",
-    "cum_cells_touched",
-    "audit",
+# Receipt fields a run adds up, in the order of its totals; an engine's totals
+# hold those it reports, rand-vc's longest chain, then cum_cells_touched.
+SUMMED_FIELDS = (
+    "recolor_calls", "fix_iterations", "recolored_edges", "level_moves", "tree_visits"
 )
 
 
@@ -382,27 +367,25 @@ def run(
     failing checkpoint).
     """
     graph, engine = make_engine(engine_name, n, delta, seed=seed, beta=beta)
+    fields = engine.RECEIPT_FIELDS
+    row_fields = itemgetter(*fields)
     writer = None
     if metrics_out is not None:
         writer = csv.writer(metrics_out, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
+        writer.writerow(
+            ("sequence_number", "engine", "kind", "u", "v", *fields, "cum_cells_touched", "audit")
+        )
     if audit_out is not None:
         audit_out.write(
             f'{{"run": "{engine_name}", "n": {n}, '
             f'"delta": {delta if delta is not None else "null"}, "seed": {seed}}}\n'
         )
 
-    totals: Dict[str, int] = {
-        "recolor_calls": 0,
-        "fix_iterations": 0,
-        "recolored_edges": 0,
-        "cells_touched": 0,
-        "level_moves": 0,
-        "chain_len_max": 0,
-        "tree_visits": 0,
-    }
+    sums = {key: 0 for key in SUMMED_FIELDS if key in fields}
+    chained = "chain_len_max" in fields
+    chain_max = 0
     cum_cells = 0
-    result = RunResult(engine_name, 0, 0, graph=graph, engine_obj=engine)
+    result = RunResult(engine_name, 0, len(events), graph=graph, engine_obj=engine)
 
     def do_audit(tag: str, deep: bool = False) -> bool:
         ok = True
@@ -417,37 +400,32 @@ def run(
     for idx, ev in enumerate(events, start=1):
         receipt = graph.apply(ev)
         stats = receipt.stats
-        cum_cells += stats.get("cells_touched", 0)
-        for key in totals:
-            if key == "chain_len_max":
-                totals[key] = max(totals[key], stats.get(key, 0))
-            else:
-                totals[key] += stats.get(key, 0)
+        cum_cells += stats["cells_touched"]
+        for key in sums:
+            sums[key] += stats[key]
+        if chained and stats["chain_len_max"] > chain_max:
+            chain_max = stats["chain_len_max"]
         audit_status = ""
         if audit_every and idx % audit_every == 0:
             audit_status = "pass" if do_audit(f"update-{idx}") else "fail"
         if writer is not None:
             writer.writerow(
-                (
-                    receipt.sequence_number,
-                    engine_name,
-                    receipt.kind,
-                    receipt.u,
-                    receipt.v,
-                )
-                + tuple(stats.get(f, 0) for f in CSV_FIELDS[5:16])
-                + (stats.get("cells_touched", 0), cum_cells, audit_status)
+                (receipt.sequence_number, engine_name, receipt.kind, receipt.u, receipt.v)
+                + row_fields(stats)
+                + (cum_cells, audit_status)
             )
-        result.updates = idx
         if audit_status == "fail":
             result.exit_code = 1
-            result.totals = totals
-            return result
+            result.updates = idx
+            break
+    else:
+        if not do_audit("final", deep=True):
+            result.exit_code = 1
 
-    if not do_audit("final", deep=True):
-        result.exit_code = 1
-    result.totals = totals
-    result.totals["cum_cells_touched"] = cum_cells
+    if chained:
+        sums["chain_len_max"] = chain_max
+    sums["cum_cells_touched"] = cum_cells
+    result.totals = sums
     return result
 
 
@@ -487,7 +465,7 @@ def compare(
                 "recolorings": res.totals.get("recolor_calls", 0)
                 + res.totals.get("fix_iterations", 0)
                 + res.totals.get("recolored_edges", 0),
-                "cells_touched": res.totals.get("cum_cells_touched", 0),
+                "cells_touched": res.totals["cum_cells_touched"],
                 "max_chain": res.totals.get("chain_len_max", 0),
                 "palette": engine_palette(engine, graph),
                 "max_color": max_color,

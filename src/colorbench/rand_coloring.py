@@ -39,6 +39,11 @@ class RandVertexColoring:
     adversary); replaying a trace with the same seed reproduces every draw.
     """
 
+    # the keys of every on_insert / on_delete receipt, in order
+    RECEIPT_FIELDS = (
+        "recolor_calls", "chain_len_max", "pool_size_min", "cells_touched", "level_moves"
+    )
+
     def __init__(
         self,
         graph: DynamicGraph,
@@ -70,7 +75,6 @@ class RandVertexColoring:
         # instrumentation
         self.cells = 0
         self.claim_checks = 0
-        self.recolor_total = 0
         self.max_color_seen = max(self.chi, default=0)
         graph.attach(self)
 
@@ -121,7 +125,6 @@ class RandVertexColoring:
     def _run_recolor(self, v: int) -> Tuple[List[Tuple[int, int]], int]:
         chain: List[Tuple[int, int]] = []
         pool_min = self._recolor(v, chain, self.hier.L + 1)
-        self.recolor_total += len(chain)
         if len(chain) > self.hier.L - 3:
             raise InternalInvariantViolation(
                 f"recolor chain of {len(chain)} exceeded the level range"

@@ -239,14 +239,3 @@ def check_tuple_state(graph: DynamicGraph, engine) -> AuditReport:
         bad.append(("scratch-dirty", None, engine.scratch, None))
     return AuditReport.from_violations(bad)
 
-
-def greedy_static_vertex(graph: DynamicGraph) -> List[int]:
-    """Static greedy coloring, vertices in id order, smallest free color."""
-    chi = [0] * graph.n
-    for v in range(graph.n):
-        used = {chi[u] for u in graph.neighbors(v) if chi[u]}
-        c = 1
-        while c in used:
-            c += 1
-        chi[v] = c
-    return chi

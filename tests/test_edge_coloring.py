@@ -4,17 +4,12 @@ import csv
 import hashlib
 import io
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import colorbench
 from colorbench import EdgeColoring, InternalInvariantViolation, RangeOutOfBounds, new_graph
 from colorbench import verify
 from colorbench.edge_coloring import CountingTree, _next_pow2
@@ -377,17 +372,11 @@ def test_corrupted_tree_fails_the_rebuild_audit():
     assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
 
 
-def test_corrupted_tree_fails_the_rebuild_audit_under_python_O():
+def test_corrupted_tree_fails_the_rebuild_audit_under_python_O(run_optimized):
     script = (
         "from test_edge_coloring import corrupted_engine\n"
         "from colorbench.harness import audit_engine\n"
         "g, ec, v = corrupted_engine()\n"
         "print(dict(audit_engine('edge-c', g, ec, deep=True))['tree-rebuild'].passed)\n"
     )
-    path = [str(Path(colorbench.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert run_optimized(script) == "False"

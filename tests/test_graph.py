@@ -7,6 +7,7 @@ import pytest
 from colorbench import (
     DegreeBoundExceeded,
     DuplicateEdge,
+    InternalInvariantViolation,
     MissingEdge,
     SelfLoop,
     UnknownVertex,
@@ -86,3 +87,48 @@ def test_degree_sum_and_cookies_under_random_churn():
     assert sum(g.degree(v) for v in range(30)) == 2 * g.num_edges
     g.check_adjacency()
     assert {(h.lo, h.hi) for h in g.edges()} == live
+
+
+def one_sided_graph():
+    """A graph whose edge (0, 1) is stored at 0 but not at 1."""
+    g = new_graph(4, 3)
+    g.insert(0, 1)
+    g.insert(1, 2)
+    del g._adj[1][0]
+    return g
+
+
+def test_check_adjacency_names_the_vertex_of_a_one_sided_edge():
+    with pytest.raises(InternalInvariantViolation, match="^vertex 0: edge to 1 "):
+        one_sided_graph().check_adjacency()
+
+
+def test_check_adjacency_raises_under_python_O(run_optimized):
+    script = (
+        "from colorbench import InternalInvariantViolation\n"
+        "from test_graph import one_sided_graph\n"
+        "try:\n"
+        "    one_sided_graph().check_adjacency()\n"
+        "except InternalInvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(script).startswith("vertex 0: edge to 1 ")
+
+
+class RaisingEngine:
+    def on_insert(self, h):
+        raise RuntimeError("engine fault")
+
+
+def test_graph_refuses_updates_after_an_engine_failure():
+    g = new_graph(4, 3)
+    g.attach(RaisingEngine())
+    with pytest.raises(RuntimeError, match="engine fault"):
+        g.insert(0, 1)
+    assert (g.num_edges, g.seq) == (1, 1)
+    state = (g.num_edges, g.seq, [dict(a) for a in g._adj])
+    # valid and invalid updates alike are refused, naming the failed update
+    for kind, u, v in ((INSERT, 2, 3), (DELETE, 0, 1), (INSERT, 0, 1)):
+        with pytest.raises(InternalInvariantViolation, match="^update 1 failed"):
+            g.apply(UpdateEvent(kind, u, v))
+        assert (g.num_edges, g.seq, [dict(a) for a in g._adj]) == state

@@ -1,5 +1,7 @@
 """Trace generation legality, replay determinism, CSV output, CLI wiring."""
 
+import csv
+import hashlib
 import io
 
 from hypothesis import given
@@ -7,7 +9,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from colorbench import DynamicGraph, GreedyVertexColoring, InvalidSpec, TraceParseError
+from colorbench import (
+    DELTA_MIN,
+    DynamicGraph,
+    GreedyVertexColoring,
+    InvalidSpec,
+    TraceParseError,
+)
 from colorbench import cli, harness
 from colorbench.harness import TraceSpec, generate, parse_trace, format_trace
 
@@ -197,12 +205,121 @@ def test_run_stops_with_exit_one_on_audit_failure(monkeypatch):
 
     monkeypatch.setattr(harness, "audit_engine", rigged)
     out = io.StringIO()
+    metrics = io.StringIO()
     res = harness.run(
-        events, "rand-vc", 20, 4, audit_every=100, audit_out=out, metrics_out=io.StringIO()
+        events, "rand-vc", 20, 4, audit_every=100, audit_out=out, metrics_out=metrics
     )
     assert res.exit_code == 1
     assert res.updates == 100  # stopped at the failing checkpoint
     assert "rigged" in out.getvalue()
+    last = list(csv.DictReader(io.StringIO(metrics.getvalue())))[-1]
+    assert last["audit"] == "fail"
+    assert res.totals["cum_cells_touched"] == int(last["cum_cells_touched"]) > 0
+
+
+RECEIPT_CASES = [
+    ("rand-vc", 16),
+    ("rand-vc", None),
+    ("det-vc", 16),
+    ("det-vc", DELTA_MIN - 1),
+    ("edge-c", 16),
+    ("edge-c", None),
+    ("greedy-baseline", 16),
+]
+
+
+@pytest.mark.parametrize("engine, delta", RECEIPT_CASES)
+def test_receipts_carry_exactly_the_declared_fields(engine, delta):
+    g, eng = harness.make_engine(engine, 40, delta, seed=1, beta=2)
+    kinds = set()
+    for ev in generate(TraceSpec(40, delta, 800, 3, "conflict-heavy")):
+        receipt = g.apply(ev)
+        assert tuple(receipt.stats) == eng.RECEIPT_FIELDS
+        kinds.add(receipt.kind)
+    assert kinds == {"+", "-"}
+
+
+def test_det_vc_fallback_writes_the_greedy_columns():
+    buf = io.StringIO()
+    harness.run([], "det-vc", 10, DELTA_MIN - 1, metrics_out=buf)
+    assert buf.getvalue() == (
+        "sequence_number,engine,kind,u,v,recolor_calls,cells_touched,"
+        "cum_cells_touched,audit\n"
+    )
+
+
+# sha256 of each metrics CSV column, its values joined by commas, for one
+# conflict-heavy trace (n=200, delta=32, 4000 updates, trace seed 5) replayed
+# with engine seed 3, beta=2 and audits every 500 updates; recorded when every
+# engine's CSV still carried all engines' columns, zero-filled. The totals
+# are that run's, with the keys each engine does not report left out.
+CSV_TRACE_GOLDEN = {
+    "sequence_number": "44a5281ba25c322fbc1854442ab7d61574e67c11b1ed57f1565d7fac8b56b06f",
+    "kind": "5c0560395000fd071405e875a0edf40a2ccd1b9509498fc4435d5a2829ad970e",
+    "u": "fa7fc98c1939758868d995b003f299172d9446bf70ae4fa4cbaa3b192da8da9e",
+    "v": "839337a402f835b6f3a4ab5e8e76c2e7077a43f595642d91ad98db66d4b04b66",
+    "audit": "b5447b4e4f251fc23a98f4073509248ad69aae4c75e535adf4ba1e3582194fe3",
+}
+CSV_ENGINE_GOLDEN = {
+    "rand-vc": {
+        "recolor_calls": "3f70166dd463db99cc5d1a751c2a00f72dd4e75de957891b4cba748bdf025d5f",
+        "chain_len_max": "3f70166dd463db99cc5d1a751c2a00f72dd4e75de957891b4cba748bdf025d5f",
+        "pool_size_min": "4d929c4dc192206c31750dcf0ed61c1d21eb3b86d82038e507b0fb6428ab94d9",
+        "cells_touched": "7131e6c1bbf84db83e88657f7d01160e20641e143d98658578d4e2da392f5198",
+        "level_moves": "2413a9aef6b48d05b754285b8479933e4744a3499ba62eab2d30231534da9af0",
+        "cum_cells_touched": "a5b49f0ff60a26dbb44563e976da0221af7f955aacaed5873edd06bf3efca4c2",
+    },
+    "det-vc": {
+        "fix_iterations": "2cdb87e556eea0e43848e6c9b22279fd5efd18df84136dbf15bf78b2eddf6079",
+        "coords_rewritten": "15ecfc76e768480cb66eb3d7f1befaed4ac1c2e2f67f8762eb9697d21eaefd24",
+        "phi_before": "c26be6f7603ab3566a512d57d0725c2a30e458353bec2ccb4b9fbb179e2f96ae",
+        "phi_after": "fa67a3b264b8a5870dbe2e671af5f7369c1634a432f12e8f938cd02033546d1a",
+        "cells_touched": "cb29ca5727c894645166f5a58da6d3619ccbe05dccfd6d427c283d568545b7f3",
+        "cum_cells_touched": "014e0bb1dc1c2f9ed291f45b0400eb7032df60acd1d2ce44835cf72b4bdaa7a9",
+    },
+    "edge-c": {
+        "tree_visits": "ba7036136382e9d04fb46d7e2459ae92d53f8eb6e238b7f6e5aaf20c92a2d0c4",
+        "recolored_edges": "b633e8bfe5e8af07bf517e7d431a845d88e9355ad859fc0202ba30375ef41e9f",
+        "color_assigned": "731ab1e7097cbfeaa88f249349189d64bfbf9cbf4d5e8fb5687453b2c34fdcbc",
+        "cells_touched": "ba7036136382e9d04fb46d7e2459ae92d53f8eb6e238b7f6e5aaf20c92a2d0c4",
+        "cum_cells_touched": "d6f1810901f50bc7103bd8811220c5a18a7fbd0af464f21b27e221a6e6b161e9",
+    },
+    "greedy-baseline": {
+        "recolor_calls": "a0e89a37e8cdf3006abf10ff793b8254909b50d3d58d237888d3b5c08ebb2043",
+        "cells_touched": "f147d33b5552111de666bd891d1cb397e9f2308948f5c6decf91baaf6b1c2c57",
+        "cum_cells_touched": "140e8f041c6d211ed37aa17ad35bedfbee8810131e9805984ae6c6c806445e02",
+    },
+}
+TOTALS_GOLDEN = {
+    "rand-vc": {"recolor_calls": 88, "level_moves": 64, "chain_len_max": 2,
+                "cum_cells_touched": 23696},
+    "det-vc": {"fix_iterations": 690, "cum_cells_touched": 43608},
+    "edge-c": {"recolored_edges": 0, "tree_visits": 76747, "cum_cells_touched": 76747},
+    "greedy-baseline": {"recolor_calls": 3006, "cum_cells_touched": 45058},
+}
+
+
+@pytest.mark.parametrize("engine", harness.ENGINES)
+def test_csv_columns_and_totals_match_the_golden(engine):
+    events = generate(TraceSpec(200, 32, 4000, 5, "conflict-heavy"))
+    buf = io.StringIO()
+    res = harness.run(
+        events, engine, 200, 32, seed=3, beta=2, audit_every=500, metrics_out=buf
+    )
+    assert res.exit_code == 0
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    fields = res.engine_obj.RECEIPT_FIELDS
+    assert header == [
+        "sequence_number", "engine", "kind", "u", "v", *fields, "cum_cells_touched", "audit",
+    ]
+    columns = dict(zip(header, zip(*rows)))
+    assert set(columns.pop("engine")) == {engine}
+    digests = {
+        name: hashlib.sha256(",".join(col).encode()).hexdigest()
+        for name, col in columns.items()
+    }
+    assert digests == {**CSV_TRACE_GOLDEN, **CSV_ENGINE_GOLDEN[engine]}
+    assert list(res.totals.items()) == list(TOTALS_GOLDEN[engine].items())
 
 
 def test_compare_table_rows():

@@ -7,35 +7,6 @@ from colorbench import verify
 from colorbench.harness import TraceSpec, generate, make_engine
 
 
-def complete_graph(k, delta=None):
-    g = new_graph(k, delta if delta is not None else k - 1)
-    for u in range(k):
-        for v in range(u + 1, k):
-            g.insert(u, v)
-    return g
-
-
-def test_greedy_static_on_clique_uses_all_colors():
-    g = complete_graph(4)
-    chi = verify.greedy_static_vertex(g)
-    assert sorted(chi) == [1, 2, 3, 4]
-    assert verify.check_proper_vertex(g, chi).passed
-
-
-def test_greedy_static_on_empty_graph_all_one():
-    g = new_graph(6, 3)
-    assert verify.greedy_static_vertex(g) == [1] * 6
-
-
-def test_greedy_static_on_path_stays_small():
-    g = new_graph(10, 2)
-    for v in range(9):
-        g.insert(v, v + 1)
-    chi = verify.greedy_static_vertex(g)
-    assert max(chi) <= 3
-    assert verify.check_proper_vertex(g, chi).passed
-
-
 def test_proper_vertex_flags_monochromatic_edge():
     g = new_graph(3, 2)
     g.insert(0, 1)
