@@ -6,8 +6,10 @@ Exit codes: 0 ok, 1 audit failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
+from contextlib import ExitStack
+from typing import List, Optional, TextIO
 
 from . import harness
 from .errors import (
@@ -92,6 +94,21 @@ def _resolve_shape(args, meta) -> tuple[int, Optional[int], int]:
     return n, delta, args.seed
 
 
+def _open_outputs(stack: ExitStack, *paths: Optional[str]) -> List[Optional[TextIO]]:
+    """Open every given path for writing on ``stack``, or leave none behind."""
+    files: List[Optional[TextIO]] = []
+    try:
+        for path in paths:
+            files.append(stack.enter_context(open(path, "w", encoding="utf-8")) if path else None)
+    except OSError:
+        stack.close()
+        for f in files:
+            if f is not None:
+                os.remove(f.name)
+        raise
+    return files
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -114,13 +131,14 @@ def main(argv=None) -> int:
             return 0
 
         with open(args.trace, "r", encoding="utf-8") as f:
-            events, meta = harness.parse_trace(f.read())
+            text = f.read()
+        events, meta = harness.parse_trace(text)
         n, delta, seed = _resolve_shape(args, meta)
+        harness.check_vertex_ids(events, n, text)
 
         if args.command == "run":
-            metrics = open(args.metrics_out, "w", encoding="utf-8") if args.metrics_out else None
-            audits = open(args.audit_out, "w", encoding="utf-8") if args.audit_out else None
-            try:
+            with ExitStack() as stack:
+                metrics, audits = _open_outputs(stack, args.metrics_out, args.audit_out)
                 res = harness.run(
                     events,
                     args.engine,
@@ -132,11 +150,6 @@ def main(argv=None) -> int:
                     metrics_out=metrics,
                     audit_out=audits,
                 )
-            finally:
-                if metrics:
-                    metrics.close()
-                if audits:
-                    audits.close()
             if res.exit_code:
                 print(f"AUDIT FAILURE after {res.updates} updates: "
                       f"{', '.join(res.failed_checks)}", file=sys.stderr)
@@ -157,7 +170,7 @@ def main(argv=None) -> int:
     except (
         InvalidSpec,
         TraceParseError,
-        FileNotFoundError,
+        OSError,
         DuplicateEdge,
         MissingEdge,
         DegreeBoundExceeded,

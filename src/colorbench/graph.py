@@ -28,19 +28,15 @@ DELETE = "-"
 class EdgeHandle:
     """A live edge. Endpoints are stored canonically as (lo, hi), lo < hi.
 
-    ``cell_lo`` / ``cell_hi`` are position cookies into the attached engine's
-    per-endpoint neighborhood lists (the cell living in lo's lists holds hi,
-    and vice versa); ``color`` is scratch for the edge-coloring engine. Both
-    stay None until an engine claims them.
+    ``color`` is scratch for the edge-coloring engine; it stays None until
+    that engine colors the edge.
     """
 
-    __slots__ = ("lo", "hi", "cell_lo", "cell_hi", "color")
+    __slots__ = ("lo", "hi", "color")
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
-        self.cell_lo = None
-        self.cell_hi = None
         self.color = None
 
     def other(self, v: int) -> int:

@@ -11,6 +11,7 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -219,6 +220,27 @@ def parse_trace(text: str) -> Tuple[Trace, Dict[str, str]]:
             raise TraceParseError(f"line {lineno}: bad vertex id in {raw!r}") from None
         events.append(UpdateEvent(parts[0], u, v))
     return events, meta
+
+
+def check_vertex_ids(events: Trace, n: int, text: str) -> None:
+    """Raise TraceParseError unless every vertex id lies in [0, n).
+
+    ``events`` must be ``parse_trace(text)``'s; the error names the first
+    offending line of ``text``.
+    """
+    for idx, ev in enumerate(events):
+        if not (0 <= ev.u < n and 0 <= ev.v < n):
+            break
+    else:
+        return
+    update_lines = (
+        lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    )
+    lineno = next(islice(update_lines, idx, None))
+    bad = ev.u if not 0 <= ev.u < n else ev.v
+    raise TraceParseError(f"line {lineno}: vertex {bad} outside 0..{n - 1} (n={n})")
 
 
 # -- engines and audits -----------------------------------------------------------

@@ -10,28 +10,45 @@ every edge update:
 Violations are queued (invariant-2 fixes take priority, FIFO within a queue)
 and repaired by moving one vertex at a time: up to the minimum level whose
 band can absorb it, or down to the maximum level that still supports it.
-A move listener observes each move before the lists are restructured, which
+A move listener observes each move before the sets are restructured, which
 is what the color-table bookkeeping of the randomized engine hangs off.
 
+Each neighbor set is a dict ``{neighbor: None}``: ``below[v]`` holds v's
+neighbors strictly below its level, ``same[v][j]`` those at level j >= v's.
+Adding, removing and testing a neighbor are O(1) expected, and ``len()`` is
+the band size. The sets must keep insertion order, not merely membership:
+moving a vertex rechecks its neighbors in the order its sets yield them,
+which is the order of the FIFO restore queues and so of later moves, and
+the randomized engine's recolor scans walk a below set in that order too,
+which its cell counts record. A dict removes a key from anywhere and
+appends a re-added key at the end, so each set yields its members in the
+order they last arrived.
+
 Memory grows with the occupied (vertex, level) classes, not with n*(L+1):
-``below[v]`` is the shared read-only ``EMPTY_CELLS`` until v gains a lower
-neighbor, and ``same[v]`` maps a level to its list only once a neighbor at
-that level arrives. Every write goes through ``_home``, which creates the list.
+``below[v]`` is the shared read-only ``EMPTY_NEIGHBORS`` until v gains a
+lower neighbor, and ``same[v]`` maps a level to its set only once a neighbor
+at that level arrives. Every write goes through ``_home``, which creates the
+set.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .dllist import EMPTY_CELLS, Cell, CellList
 from .errors import InternalInvariantViolation, InvalidBase
 from .graph import DELETE, INSERT, EdgeHandle
 
 BOTTOM_LEVEL = 4
 
 MoveListener = Callable[[int, int, int], None]  # (vertex, old level, new level)
+
+Neighbors = Dict[int, None]  # an insertion-ordered set of neighbor ids
+
+# Stands in for every neighbor set not yet created; refuses every write.
+EMPTY_NEIGHBORS: Mapping[int, None] = MappingProxyType({})
 
 
 @dataclass
@@ -47,7 +64,7 @@ class TokenLedger:
 
 
 class LevelPartition:
-    """Per-vertex levels plus partitioned neighborhood lists and dirty queues.
+    """Per-vertex levels plus partitioned neighbor sets and dirty queues.
 
     ``beta`` may be any real >= 2; integral values use exact integer powers
     for all band comparisons. Coloring correctness never depends on beta,
@@ -74,8 +91,8 @@ class LevelPartition:
         self.pow = [beta**i for i in range(self.L + 1)]
 
         self.level = [BOTTOM_LEVEL] * n
-        self.below: List[CellList] = [EMPTY_CELLS] * n
-        self.same: List[Dict[int, CellList]] = [{} for _ in range(n)]
+        self.below: List[Neighbors] = [EMPTY_NEIGHBORS] * n
+        self.same: List[Dict[int, Neighbors]] = [{} for _ in range(n)]
         self._q2: deque[int] = deque()
         self._q1: deque[int] = deque()
         self._in_q2 = bytearray(n)
@@ -90,20 +107,20 @@ class LevelPartition:
         return self.level[v]
 
     def below_degree(self, v: int) -> int:
-        return self.below[v].size
+        return len(self.below[v])
 
-    def same_list(self, v: int, j: int) -> CellList:
-        return self.same[v].get(j, EMPTY_CELLS)
+    def same_list(self, v: int, j: int) -> Neighbors:
+        return self.same[v].get(j, EMPTY_NEIGHBORS)
 
     # -- invariant predicates --------------------------------------------------
 
     def violates_upper(self, v: int) -> bool:
         lv = self.level[v]
-        return self.below[v].size + self.same[v].get(lv, EMPTY_CELLS).size > self.pow[lv]
+        return len(self.below[v]) + len(self.same[v].get(lv, EMPTY_NEIGHBORS)) > self.pow[lv]
 
     def violates_lower(self, v: int) -> bool:
         lv = self.level[v]
-        return lv > BOTTOM_LEVEL and self.below[v].size < self.pow[lv - 5]
+        return lv > BOTTOM_LEVEL and len(self.below[v]) < self.pow[lv - 5]
 
     def _recheck(self, v: int) -> None:
         if not self._in_q2[v] and self.violates_upper(v):
@@ -131,32 +148,29 @@ class LevelPartition:
         self._recheck(handle.hi)
         return self._restore()
 
-    def _home(self, owner: int, neighbor_level: int) -> CellList:
-        """owner's list for a neighbor at neighbor_level, created on first use."""
+    def _home(self, owner: int, neighbor_level: int) -> Neighbors:
+        """owner's set for a neighbor at neighbor_level, created on first use."""
         if neighbor_level < self.level[owner]:
-            lst = self.below[owner]
-            if lst is EMPTY_CELLS:
-                lst = self.below[owner] = CellList()
-            return lst
+            nbrs = self.below[owner]
+            if nbrs is EMPTY_NEIGHBORS:
+                nbrs = self.below[owner] = {}
+            return nbrs
         same = self.same[owner]
-        lst = same.get(neighbor_level)
-        if lst is None:
-            lst = same[neighbor_level] = CellList()
-        return lst
+        nbrs = same.get(neighbor_level)
+        if nbrs is None:
+            nbrs = same[neighbor_level] = {}
+        return nbrs
 
     def _link(self, h: EdgeHandle) -> None:
         lo, hi = h.lo, h.hi
-        cell_lo = Cell(hi, h)
-        cell_hi = Cell(lo, h)
-        self._home(lo, self.level[hi]).append(cell_lo)
-        self._home(hi, self.level[lo]).append(cell_hi)
-        h.cell_lo, h.cell_hi = cell_lo, cell_hi
+        self._home(lo, self.level[hi])[hi] = None
+        self._home(hi, self.level[lo])[lo] = None
         self.cells_touched += 2
 
     def _unlink(self, h: EdgeHandle) -> None:
-        self._home(h.lo, self.level[h.hi]).remove(h.cell_lo)
-        self._home(h.hi, self.level[h.lo]).remove(h.cell_hi)
-        h.cell_lo = h.cell_hi = None
+        lo, hi = h.lo, h.hi
+        del self._home(lo, self.level[hi])[hi]
+        del self._home(hi, self.level[lo])[lo]
         self.cells_touched += 2
 
     def _restore(self) -> List[Tuple[int, int, int]]:
@@ -185,10 +199,10 @@ class LevelPartition:
         """Move an invariant-2 violator up; returns the landing level."""
         i = self.level[x]
         same_x = self.same[x]
-        cum = self.below[x].size
+        cum = len(self.below[x])
         k = 0
         for j in range(i, self.L + 1):
-            cum += same_x.get(j, EMPTY_CELLS).size
+            cum += len(same_x.get(j, EMPTY_NEIGHBORS))
             self.cells_touched += 1
             if j > i and cum <= self.pow[j]:
                 k = j
@@ -203,16 +217,16 @@ class LevelPartition:
 
         self.level[x] = k  # first, so that _home files every band j < k as below
         for j in range(i, k):
-            lst = same_x.pop(j, None)
-            if lst is not None:
-                self._home(x, j).steal(lst)
+            band = same_x.pop(j, None)
+            if band is not None:
+                self._home(x, j).update(band)
             self.cells_touched += 1
 
         # Re-home x in every neighbor at level <= k; bands above k keep x below.
-        for cell in self.below[x].cells():
-            self._rehome_twin(cell, i, k)
-        for cell in same_x.get(k, EMPTY_CELLS).cells():
-            self._rehome_twin(cell, i, k)
+        for u in self.below[x]:
+            self._rehome_twin(u, x, i, k)
+        for u in same_x.get(k, EMPTY_NEIGHBORS):
+            self._rehome_twin(u, x, i, k)
         self._recheck(x)
         self._check_landing(x)
         return k
@@ -225,12 +239,12 @@ class LevelPartition:
 
         counts = [0] * (self.L + 1)
         level = self.level
-        for cell in below_x.cells():
-            counts[level[cell.neighbor]] += 1
+        for u in below_x:
+            counts[level[u]] += 1
             self.cells_touched += 1
 
         k = BOTTOM_LEVEL
-        acc = below_x.size
+        acc = len(below_x)
         for j in range(i - 1, BOTTOM_LEVEL, -1):
             acc -= counts[j]  # now |N_x(4, j-1)|
             self.cells_touched += 1
@@ -241,19 +255,19 @@ class LevelPartition:
         if self.move_listener is not None:
             self.move_listener(x, i, k)
 
-        level[x] = k  # first, so that _home files each cell by the new level
-        for cell in below_x.cells():
-            ju = level[cell.neighbor]
+        level[x] = k  # first, so that _home files each neighbor by the new level
+        for u in list(below_x):
+            ju = level[u]
             if ju >= k:
-                below_x.remove(cell)
-                self._home(x, ju).append(cell)
+                del below_x[u]
+                self._home(x, ju)[u] = None
                 self.cells_touched += 1
 
-        for cell in below_x.cells():
-            self._rehome_twin(cell, i, k)
+        for u in below_x:
+            self._rehome_twin(u, x, i, k)
         for j in range(k, i + 1):
-            for cell in same_x.get(j, EMPTY_CELLS).cells():
-                self._rehome_twin(cell, i, k)
+            for u in same_x.get(j, EMPTY_NEIGHBORS):
+                self._rehome_twin(u, x, i, k)
         self._recheck(x)
         self._check_landing(x)
         return k
@@ -261,24 +275,21 @@ class LevelPartition:
     def _check_landing(self, x: int) -> None:
         """Raise unless a moved vertex sits inside the band of its new level."""
         k = self.level[x]
-        below = self.below[x].size
-        at = self.same[x].get(k, EMPTY_CELLS).size
+        below = len(self.below[x])
+        at = len(self.same[x].get(k, EMPTY_NEIGHBORS))
         if below + at > self.pow[k] or (k > BOTTOM_LEVEL and below < self.pow[k - 1]):
             raise InternalInvariantViolation(
                 f"vertex {x} landed at level {k} outside its band: "
                 f"{below} below, {at} at its level"
             )
 
-    def _rehome_twin(self, cell: Cell, old: int, new: int) -> None:
-        """Fix x's cell inside one neighbor's lists after x moved old -> new."""
-        u = cell.neighbor
-        h = cell.handle
-        twin = h.cell_lo if u == h.lo else h.cell_hi
+    def _rehome_twin(self, u: int, x: int, old: int, new: int) -> None:
+        """Move x between neighbor u's sets after x moved old -> new."""
         src = self._home(u, old)
         dst = self._home(u, new)
         if src is not dst:
-            src.remove(twin)
-            dst.append(twin)
+            del src[x]
+            dst[x] = None
             self.cells_touched += 1
             self._recheck(u)
 
@@ -290,14 +301,13 @@ class LevelPartition:
         for v in range(self.n):
             lv = self.level[v]
             if lv > BOTTOM_LEVEL:
-                slack = self.pow[lv - 1] - self.below[v].size
+                slack = self.pow[lv - 1] - len(self.below[v])
                 if slack > 0:
                     ledger.vertex_tokens[v] = slack / (2 * self.beta)
             same_v = self.same[v]
-            bands = (same_v.get(j, EMPTY_CELLS) for j in range(lv, self.L + 1))
-            for lst in (self.below[v], *bands):
-                for cell in lst.cells():
-                    u = cell.neighbor
+            bands = (same_v.get(j, EMPTY_NEIGHBORS) for j in range(lv, self.L + 1))
+            for nbrs in (self.below[v], *bands):
+                for u in nbrs:
                     if v < u:
                         ledger.edge_tokens[(v, u)] = self.L - max(lv, self.level[u])
         total = ledger.total
@@ -308,5 +318,5 @@ class LevelPartition:
     def dump(self) -> str:
         """Per-vertex ``v level below_size`` lines, for golden-file tests."""
         return "\n".join(
-            f"{v} {self.level[v]} {self.below[v].size}" for v in range(self.n)
+            f"{v} {self.level[v]} {len(self.below[v])}" for v in range(self.n)
         )

@@ -143,10 +143,10 @@ class RandVertexColoring:
         below = hl.below[v]
         counts: Dict[int, int] = {}
         chi = self.chi
-        for cell in below.cells():
-            c = chi[cell.neighbor]
+        for u in below:
+            c = chi[u]
             counts[c] = counts.get(c, 0) + 1
-        self.cells += below.size
+        self.cells += len(below)
 
         limit = self.graph.degree(v) + 1 if self.adaptive else self.palette
         cap = self.pool_cap[i]
@@ -163,10 +163,10 @@ class RandVertexColoring:
         self.cells += limit
 
         self.claim_checks += 1
-        if 2 * blank_unique < 2 + below.size:
+        if 2 * blank_unique < 2 + len(below):
             raise InternalInvariantViolation(
                 f"blank+unique count {blank_unique} below guaranteed floor "
-                f"for vertex {v} (below-degree {below.size})"
+                f"for vertex {v} (below-degree {len(below)})"
             )
         if not pool:
             raise InternalInvariantViolation(f"empty recolor pool at vertex {v}")
@@ -179,18 +179,16 @@ class RandVertexColoring:
         if c > self.max_color_seen:
             self.max_color_seen = c
 
-        for lst in (below, hl.same_list(v, i)):
-            for cell in lst.cells():
-                w = cell.neighbor
+        for nbrs in (below, hl.same_list(v, i)):
+            for w in nbrs:
                 self._drop(w, old)
                 self._bump(w, c)
-            self.cells += 2 * lst.size
+            self.cells += 2 * len(nbrs)
 
         pool_min = len(pool)
         if counts.get(c, 0) == 1:
-            for cell in below.cells():
+            for w in below:
                 self.cells += 1
-                w = cell.neighbor
                 if chi[w] == c:
                     pool_min = min(pool_min, self._recolor(w, chain, i))
                     break
@@ -200,8 +198,8 @@ class RandVertexColoring:
         """Classify v's free colors by how many below-neighbors hold each."""
         hl = self.hier
         counts: Dict[int, int] = {}
-        for cell in hl.below[v].cells():
-            c = self.chi[cell.neighbor]
+        for u in hl.below[v]:
+            c = self.chi[u]
             counts[c] = counts.get(c, 0) + 1
         limit = self.graph.degree(v) + 1 if self.adaptive else self.palette
         muv = self.mu[v]
@@ -250,7 +248,7 @@ class RandVertexColoring:
     def _on_level_move(self, x: int, i: int, k: int) -> None:
         """Re-point the color multiplicity tables across one level move.
 
-        Called by the hierarchy before it restructures any list, so every
+        Called by the hierarchy before it restructures any set, so every
         band below still reflects the old level assignment. A neighbor y
         tracks x's color iff level(x) >= level(y), and vice versa; the
         branches below are exactly the membership flips the move causes.
@@ -260,25 +258,23 @@ class RandVertexColoring:
         cx = chi[x]
         if k > i:
             for j in range(i, k + 1):
-                lst = hl.same_list(x, j)
-                for cell in lst.cells():
-                    y = cell.neighbor
+                nbrs = hl.same_list(x, j)
+                for y in nbrs:
                     if j > i:
                         self._bump(y, cx)
                     if j < k:
                         self._drop(x, chi[y])
-                self.cells += lst.size
+                self.cells += len(nbrs)
         else:
             level = hl.level
-            for lst in (hl.below[x], hl.same_list(x, i)):
-                for cell in lst.cells():
-                    y = cell.neighbor
+            for nbrs in (hl.below[x], hl.same_list(x, i)):
+                for y in nbrs:
                     jy = level[y]
                     if k < jy <= i:
                         self._drop(y, cx)
                     if k <= jy < i:
                         self._bump(x, chi[y])
-                self.cells += lst.size
+                self.cells += len(nbrs)
 
     # -- snapshots ----------------------------------------------------------------
 

@@ -102,32 +102,24 @@ def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, Lis
 
 
 def check_hierarchy(graph: DynamicGraph, part) -> AuditReport:
-    """Recount both band invariants and the list partition from adjacency."""
+    """Recount both band invariants and the neighbor-set partition from adjacency."""
     report, below_count = recount_band_invariants(graph, part)
     bad = report.violations
     level = part.level
     for v in range(graph.n):
         lv = level[v]
-        blist = part.below[v]
-        if blist.size != below_count[v]:
-            bad.append(("below-counter", v, blist.size, below_count[v]))
-        seen: Set[int] = set()
-        for cell in blist.cells():
-            u = cell.neighbor
-            seen.add(u)
+        below = part.below[v]
+        if len(below) != below_count[v]:
+            bad.append(("below-counter", v, len(below), below_count[v]))
+        seen: Set[int] = set(below)
+        for u in below:
             if not level[u] < lv:
                 bad.append(("below-band", v, u, (level[u], lv)))
         for j in range(4, part.L + 1):
-            lst = part.same_list(v, j)
-            count = 0
-            for cell in lst.cells():
-                u = cell.neighbor
+            for u in part.same_list(v, j):
                 seen.add(u)
-                count += 1
                 if level[u] != j or j < lv:
                     bad.append(("same-band", v, u, (level[u], j, lv)))
-            if count != lst.size:
-                bad.append(("same-counter", v, j, (count, lst.size)))
         adj_v = graph._adj[v]
         if len(seen) != len(adj_v) or any(u not in adj_v for u in seen):
             bad.append(("partition", v, sorted(seen), sorted(adj_v)))

@@ -9,8 +9,8 @@ from colorbench.harness import TraceSpec, generate, make_engine
 
 N = 20_000
 # An eager layout adds one container per vertex and level; the smallest, an
-# empty CellList, is larger than this. A level may still cost a pointer and a
-# color coordinate.
+# empty dict (64 B), is larger than this. A level may still cost a pointer and
+# a color coordinate.
 MAX_BYTES_PER_LEVEL = 32
 
 

@@ -381,3 +381,32 @@ def test_cli_adaptive_run(tmp_path):
     assert cli.main(
         ["run", "--trace", str(trace), "--engine", "edge-c", "--audit-every", "50"]
     ) == 0
+
+
+@pytest.mark.parametrize("bad_line", ["+ 2 7", "- 4 0", "+ -1 3"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_out_of_range_vertex_fails_before_any_output(tmp_path, capsys, command, bad_line):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"# n=4 delta=3\n+ 0 1\n\n# churn\n+ 1 2\n{bad_line}\n+ 0 2\n")
+    metrics, audits = tmp_path / "m.csv", tmp_path / "a.jsonl"
+    argv = [command, "--trace", str(trace)]
+    if command == "run":
+        argv += ["--engine", "rand-vc", "--metrics-out", str(metrics), "--audit-out", str(audits)]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert "line 6:" in out.err and out.out == ""
+    assert not metrics.exists() and not audits.exists()
+
+
+@pytest.mark.parametrize("bad", ["--metrics-out", "--audit-out"])
+def test_cli_unopenable_output_leaves_no_file(tmp_path, bad):
+    trace = tmp_path / "t.trace"
+    trace.write_text("# n=4 delta=3\n+ 0 1\n+ 1 2\n")
+    good = tmp_path / "out.txt"
+    missing_dir = tmp_path / "missing"
+    outputs = {"--metrics-out": good, "--audit-out": good, bad: missing_dir / "out.txt"}
+    argv = ["run", "--trace", str(trace), "--engine", "rand-vc"]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == [trace]

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from colorbench import InternalInvariantViolation, InvalidBase, new_graph
-from colorbench.dllist import Cell
 from colorbench.graph import EdgeHandle
-from colorbench.hierarchy import LevelPartition
+from colorbench.hierarchy import EMPTY_NEIGHBORS, LevelPartition
 from colorbench.verify import check_hierarchy
 
 
@@ -132,11 +131,7 @@ def synthetic_partition(levels, edges, delta, beta):
     for v, lv in enumerate(levels):
         p.level[v] = lv
     for u, v in edges:
-        h = EdgeHandle(min(u, v), max(u, v))
-        cu, cv = Cell(h.hi, h), Cell(h.lo, h)
-        p._home(h.lo, p.level[h.hi]).append(cu)
-        p._home(h.hi, p.level[h.lo]).append(cv)
-        h.cell_lo, h.cell_hi = cu, cv
+        p._link(EdgeHandle(min(u, v), max(u, v)))
     return p
 
 
@@ -152,7 +147,7 @@ def test_demotion_lands_at_maximum_supported_level():
     assert p.demote(0) == 5
     assert p.level_of(0) == 5
     assert p.below_degree(0) == 16
-    assert p.same_list(0, 5).size == 8
+    assert len(p.same_list(0, 5)) == 8
 
 
 def test_demotion_falls_to_bottom_when_no_level_supports():
@@ -166,8 +161,29 @@ def test_demotion_falls_to_bottom_when_no_level_supports():
     assert p.level_of(0) == 4
     # all former below-neighbors now sit at or above vertex 0
     assert p.below_degree(0) == 0
-    assert p.same_list(0, 4).size == 1
-    assert p.same_list(0, 5).size == 2
+    assert len(p.same_list(0, 4)) == 1
+    assert len(p.same_list(0, 5)) == 2
+
+
+def test_shared_empty_neighbor_set_refuses_writes_and_stays_empty():
+    g, p = attach(40, 32, beta=2)
+    assert p.below[0] is EMPTY_NEIGHBORS and p.same_list(0, 5) is EMPTY_NEIGHBORS
+    with pytest.raises(TypeError):
+        EMPTY_NEIGHBORS[1] = None
+    with pytest.raises(TypeError):
+        del EMPTY_NEIGHBORS[1]
+    with pytest.raises(AttributeError):
+        EMPTY_NEIGHBORS.update({1: None})
+    # The promotion moves a whole band into vertex 0's below set; the leaves
+    # never gain a lower neighbor, so their below sets stay the shared one.
+    for v in range(1, 18):
+        g.insert(0, v)
+    assert p.level_of(0) == 5 and p.below_degree(0) == 17
+    for v in range(1, 18):
+        g.delete(0, v)
+    assert p.level_of(0) == 4
+    assert all(p.below[v] is EMPTY_NEIGHBORS for v in range(1, 40))
+    assert len(EMPTY_NEIGHBORS) == 0 and list(EMPTY_NEIGHBORS) == []
 
 
 # -- full maintenance over traces ----------------------------------------------------

@@ -1,12 +1,15 @@
 """Randomized vertex coloring: properness, pools, chains, adaptive palettes."""
 
+import hashlib
 import random
 
 import pytest
 
 from colorbench import InternalInvariantViolation, RandVertexColoring, new_graph
 from colorbench import verify
+from colorbench.graph import DELETE, INSERT, UpdateEvent
 from colorbench.harness import TraceSpec, generate, make_engine
+from colorbench.hierarchy import BOTTOM_LEVEL
 
 
 class IndexRng:
@@ -260,6 +263,96 @@ def test_adaptive_delete_recolors_stranded_color():
 
 
 # -- determinism -----------------------------------------------------------------------
+
+
+def block_cycles(seed, blocks, delta, cycles, fill=0.9, floor=0.02):
+    """Fill disjoint blocks of delta+1 vertices, drain them, and fill again.
+
+    Each cycle inserts random absent pairs until a ``fill`` share of all
+    block pairs is live, then deletes random live pairs down to a ``floor``
+    share; a last fill ends the trace. Filling promotes vertices and
+    draining demotes them, so at beta=2 the hierarchy moves hundreds of times.
+    """
+    rng = random.Random(seed)
+    size = delta + 1
+    absent = [(b * size + i, b * size + j) for b in range(blocks)
+              for i in range(size) for j in range(i + 1, size)]
+    total = len(absent)
+    live, events = [], []
+    for cycle in range(cycles + 1):
+        rng.shuffle(absent)
+        k = int(fill * total) - len(live)
+        events += [UpdateEvent(INSERT, *e) for e in absent[:k]]
+        live += absent[:k]
+        del absent[:k]
+        if cycle == cycles:
+            return events
+        rng.shuffle(live)
+        k = len(live) - int(floor * total)
+        events += [UpdateEvent(DELETE, *e) for e in live[:k]]
+        absent += live[:k]
+        del live[:k]
+
+
+@pytest.fixture(scope="module")
+def cycled():
+    """rand-vc at beta=2 after two fill-and-drain cycles on a block of 129.
+
+    At delta=128 the top level is 7, whose floor of 2**2 lower neighbors lets
+    a demotion re-file up to three neighbors, so their order is observable.
+    """
+    g, eng = make_engine("rand-vc", 129, 128, seed=1, beta=2)
+    moves = sum(g.apply(ev).stats["level_moves"] for ev in block_cycles(1, 1, 128, 2))
+    return g, eng, moves
+
+
+def neighbor_layout(hier):
+    """Each vertex's below set and nonempty same sets, in iteration order."""
+    lines = []
+    for v in range(hier.n):
+        bands = [
+            f"{j}:{','.join(map(str, hier.same_list(v, j)))}"
+            for j in range(BOTTOM_LEVEL, hier.L + 1)
+            if hier.same_list(v, j)
+        ]
+        lines.append(f"{v} below:{','.join(map(str, hier.below[v]))} {' '.join(bands)}")
+    return "\n".join(lines)
+
+
+def test_colors_levels_and_neighbor_order_match_the_golden(cycled):
+    # Recorded when the neighbor sets were linked lists of cells (626
+    # promotions, 153 demotions). The order of each set decides the order of
+    # restore-queue entries and of recolor scans, so a set that kept
+    # membership but not order would fail at least the layout digest.
+    g, eng, moves = cycled
+    assert moves == 779
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(",".join(map(str, eng.chi))) == (
+        "0236de156aad101b7685fb14f6654f3e711396cd24e9513626246aef862b8fcb"
+    )
+    assert digest(",".join(map(str, eng.hier.level))) == (
+        "24a8c4fe79e3298ba60dbfb33ae3e05af4f23462659916a266a2e68412714cf7"
+    )
+    assert digest(neighbor_layout(eng.hier)) == (
+        "57ffe5928d490d3444f08fa093b7a967c90e16b1ba3da6c88e06309b67a4a7f5"
+    )
+
+
+def test_blank_unique_matches_brute_force_after_level_moves(cycled):
+    g, eng, _ = cycled
+    assert len(set(eng.hier.level)) > 2
+    unique_seen = 0
+    for v in range(g.n):
+        blank, unique, rest = verify.brute_blank_unique(g, eng.chi, eng.hier, v, eng.palette)
+        view = eng.blank_unique(v)
+        assert (view.blank, view.unique, view.twice_plus) == (
+            sorted(blank), sorted(unique), sorted(rest)
+        )
+        unique_seen += bool(unique)
+    assert unique_seen, "no vertex had a color held by exactly one lower neighbor"
 
 
 def test_same_seed_same_run():
