@@ -36,7 +36,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import DELETE, INSERT, DynamicGraph, EdgeHandle, UpdateEvent, UpdateReceipt, new_graph
-from .hierarchy import LevelPartition, TokenLedger
+from .hierarchy import LevelPartition
 from .rand_coloring import BlankUniqueView, RandVertexColoring
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "RandVertexColoring",
     "RangeOutOfBounds",
     "SelfLoop",
-    "TokenLedger",
     "TraceParseError",
     "TupleVertexColoring",
     "UnknownVertex",

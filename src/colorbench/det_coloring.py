@@ -327,9 +327,6 @@ class TupleVertexColoring:
 
     # -- views -------------------------------------------------------------------
 
-    def potential(self) -> int:
-        return self.phi
-
     def color_of(self, v: int) -> int:
         """Tuple color encoded into [1, radix**levels]."""
         c = 0

@@ -11,7 +11,7 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -286,26 +286,23 @@ def audit_engine(
     ):
         chi = engine.chi
         reports.append(("proper-vertex", verify.check_proper_vertex(graph, chi)))
-        if isinstance(engine, RandVertexColoring):
-            adj = graph._adj
-            if engine.adaptive:
-                bad = [
-                    ("palette", v, chi[v], len(adj[v]) + 1)
-                    for v in range(graph.n)
-                    if chi[v] > len(adj[v]) + 1
-                ]
-            else:
-                bad = [
-                    ("palette", v, chi[v], engine.palette)
-                    for v in range(graph.n)
-                    if chi[v] > engine.palette
-                ]
-            reports.append(("palette", verify.AuditReport.from_violations(bad)))
-            bands, _ = verify.recount_band_invariants(graph, engine.hier)
-            reports.append(("hierarchy-bands", bands))
+        rand = isinstance(engine, RandVertexColoring)
+        if rand and engine.adaptive:
+            limits = [len(a) + 1 for a in graph._adj]
+        else:
+            limits = repeat(engine.palette)
+        bad = [
+            ("palette", v, c, limit)
+            for v, (c, limit) in enumerate(zip(chi, limits))
+            if c > limit
+        ]
+        reports.append(("palette", verify.AuditReport.from_violations(bad)))
+        if rand:
+            recount = verify.recount_band_invariants(graph, engine.hier)
+            reports.append(("hierarchy-bands", recount[0]))
             if deep:
                 reports.append(
-                    ("hierarchy-lists", verify.check_hierarchy(graph, engine.hier))
+                    ("hierarchy-lists", verify.check_hierarchy(graph, engine.hier, recount))
                 )
                 fresh = verify.rebuild_upper_color_counts(graph, engine.hier, chi)
                 mu_bad = [
@@ -316,13 +313,6 @@ def audit_engine(
                 reports.append(
                     ("upper-counts", verify.AuditReport.from_violations(mu_bad))
                 )
-        else:
-            bad = [
-                ("palette", v, chi[v], engine.palette)
-                for v in range(graph.n)
-                if chi[v] > engine.palette
-            ]
-            reports.append(("palette", verify.AuditReport.from_violations(bad)))
     elif name == "det-vc":
         reports.append(
             ("proper-vertex", verify.check_proper_vertex(graph, engine.colors()))

@@ -34,7 +34,6 @@ set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -51,18 +50,6 @@ Neighbors = Dict[int, None]  # an insertion-ordered set of neighbor ids
 EMPTY_NEIGHBORS: Mapping[int, None] = MappingProxyType({})
 
 
-@dataclass
-class TokenLedger:
-    """Diagnostic token snapshot; never consulted by the algorithm itself."""
-
-    vertex_tokens: Dict[int, float] = field(default_factory=dict)
-    edge_tokens: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return sum(self.vertex_tokens.values()) + sum(self.edge_tokens.values())
-
-
 class LevelPartition:
     """Per-vertex levels plus partitioned neighbor sets and dirty queues.
 
@@ -77,7 +64,6 @@ class LevelPartition:
         if max_degree < 1:
             raise ValueError("degree bound must be at least 1")
         self.n = n
-        self.beta = beta
         if float(beta).is_integer():
             beta = int(beta)
 
@@ -99,12 +85,8 @@ class LevelPartition:
         self._in_q1 = bytearray(n)
         self.move_listener: Optional[MoveListener] = None
         self.cells_touched = 0
-        self._last_token_total = 0.0
 
     # -- basic views ---------------------------------------------------------
-
-    def level_of(self, v: int) -> int:
-        return self.level[v]
 
     def below_degree(self, v: int) -> int:
         return len(self.below[v])
@@ -292,31 +274,3 @@ class LevelPartition:
             dst[x] = None
             self.cells_touched += 1
             self._recheck(u)
-
-    # -- diagnostics --------------------------------------------------------------
-
-    def audit_tokens(self) -> Tuple[TokenLedger, float]:
-        """Closed-form token snapshot plus net change since the last snapshot."""
-        ledger = TokenLedger()
-        for v in range(self.n):
-            lv = self.level[v]
-            if lv > BOTTOM_LEVEL:
-                slack = self.pow[lv - 1] - len(self.below[v])
-                if slack > 0:
-                    ledger.vertex_tokens[v] = slack / (2 * self.beta)
-            same_v = self.same[v]
-            bands = (same_v.get(j, EMPTY_NEIGHBORS) for j in range(lv, self.L + 1))
-            for nbrs in (self.below[v], *bands):
-                for u in nbrs:
-                    if v < u:
-                        ledger.edge_tokens[(v, u)] = self.L - max(lv, self.level[u])
-        total = ledger.total
-        delta = total - self._last_token_total
-        self._last_token_total = total
-        return ledger, delta
-
-    def dump(self) -> str:
-        """Per-vertex ``v level below_size`` lines, for golden-file tests."""
-        return "\n".join(
-            f"{v} {self.level[v]} {len(self.below[v])}" for v in range(self.n)
-        )

@@ -1,11 +1,13 @@
 """Randomized proper vertex coloring over the level partition.
 
 On an insert that collides two equal-colored endpoints, the endpoint
-recolored most recently redraws from its blank-or-unique colors: colors not
-held by any neighbor at the same level or above, and held by at most one
-neighbor strictly below. Drawing a unique color pushes the conflict to that
-single lower-level neighbor, so recolor chains descend strictly and die out
-within the level range.
+recolored most recently redraws uniformly from all of its blank-or-unique
+colors: colors not held by any neighbor at the same level or above, and held
+by at most one neighbor strictly below. The draw uses the very split that
+``blank_unique`` returns, and a receipt's ``pool_size_min`` is the smallest
+such split (blank plus unique) along the chain. Drawing a unique color
+pushes the conflict to that single lower-level neighbor, so recolor chains
+descend strictly and die out within the level range.
 
 Adaptive mode clamps every vertex's palette to {1, ..., degree+1} and
 recolors a vertex whose color an edge deletion strands above that bound.
@@ -13,7 +15,6 @@ recolors a vertex whose color an edge deletion strands above that bound.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -60,10 +61,6 @@ class RandVertexColoring:
         self.palette = max(1, delta_cap) + 1
         self.hier = LevelPartition(n, max(1, delta_cap), beta)
         self.hier.move_listener = self._on_level_move
-        if float(beta).is_integer():
-            self.pool_cap = [int(p) for p in self.hier.pow]
-        else:
-            self.pool_cap = [math.ceil(p) for p in self.hier.pow]
 
         if adaptive:
             self.chi = [1] * n
@@ -88,7 +85,7 @@ class RandVertexColoring:
         pool_min = 0
         if self.chi[h.lo] == self.chi[h.hi]:
             x = h.lo if self.tau[h.lo] >= self.tau[h.hi] else h.hi
-            chain, pool_min = self._run_recolor(x)
+            chain, pool_min = self.recolor(x)
         return self._receipt(moves, chain, pool_min, c0, h0)
 
     def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
@@ -100,8 +97,8 @@ class RandVertexColoring:
         if self.adaptive:
             # A shrunken palette may strand either endpoint's color.
             for x in (h.lo, h.hi):
-                if self.chi[x] > self.graph.degree(x) + 1:
-                    part, pmin = self._run_recolor(x)
+                if self.chi[x] > self._palette_limit(x):
+                    part, pmin = self.recolor(x)
                     chain += part
                     pool_min = min(pool_min, pmin) if pool_min else pmin
         return self._receipt(moves, chain, pool_min, c0, h0)
@@ -117,12 +114,12 @@ class RandVertexColoring:
 
     # -- recoloring ---------------------------------------------------------------
 
-    def recolor(self, v: int) -> List[Tuple[int, int]]:
-        """Redraw v's color; returns the chain of (vertex, new color) writes."""
-        chain, _ = self._run_recolor(v)
-        return chain
+    def recolor(self, v: int) -> Tuple[List[Tuple[int, int]], int]:
+        """Redraw v's color.
 
-    def _run_recolor(self, v: int) -> Tuple[List[Tuple[int, int]], int]:
+        Returns the chain of (vertex, new color) writes and the smallest
+        blank-or-unique pool drawn from along it.
+        """
         chain: List[Tuple[int, int]] = []
         pool_min = self._recolor(v, chain, self.hier.L + 1)
         if len(chain) > self.hier.L - 3:
@@ -141,37 +138,19 @@ class RandVertexColoring:
             )
 
         below = hl.below[v]
-        counts: Dict[int, int] = {}
-        chi = self.chi
-        for u in below:
-            c = chi[u]
-            counts[c] = counts.get(c, 0) + 1
-        self.cells += len(below)
-
-        limit = self.graph.degree(v) + 1 if self.adaptive else self.palette
-        cap = self.pool_cap[i]
-        muv = self.mu[v]
-        pool: List[int] = []
-        blank_unique = 0
-        for c in range(1, limit + 1):
-            if c in muv:
-                continue
-            if counts.get(c, 0) <= 1:
-                blank_unique += 1
-                if len(pool) < cap:
-                    pool.append(c)
-        self.cells += limit
+        view = self.blank_unique(v)
+        self.cells += len(below) + self._palette_limit(v)
+        pool = sorted(view.blank + view.unique)
 
         self.claim_checks += 1
-        if 2 * blank_unique < 2 + len(below):
+        if 2 * len(pool) < 2 + len(below):
             raise InternalInvariantViolation(
-                f"blank+unique count {blank_unique} below guaranteed floor "
+                f"blank+unique count {len(pool)} below guaranteed floor "
                 f"for vertex {v} (below-degree {len(below)})"
             )
-        if not pool:
-            raise InternalInvariantViolation(f"empty recolor pool at vertex {v}")
 
         c = pool[self.rng.randrange(len(pool))]
+        chi = self.chi
         old = chi[v]
         chi[v] = c
         self.tau[v] = self.graph.seq
@@ -186,7 +165,7 @@ class RandVertexColoring:
             self.cells += 2 * len(nbrs)
 
         pool_min = len(pool)
-        if counts.get(c, 0) == 1:
+        if c in view.unique:
             for w in below:
                 self.cells += 1
                 if chi[w] == c:
@@ -196,15 +175,14 @@ class RandVertexColoring:
 
     def blank_unique(self, v: int) -> BlankUniqueView:
         """Classify v's free colors by how many below-neighbors hold each."""
-        hl = self.hier
+        chi = self.chi
         counts: Dict[int, int] = {}
-        for u in hl.below[v]:
-            c = self.chi[u]
+        for u in self.hier.below[v]:
+            c = chi[u]
             counts[c] = counts.get(c, 0) + 1
-        limit = self.graph.degree(v) + 1 if self.adaptive else self.palette
         muv = self.mu[v]
         view = BlankUniqueView([], [], [])
-        for c in range(1, limit + 1):
+        for c in range(1, self._palette_limit(v) + 1):
             if c in muv:
                 continue
             cnt = counts.get(c, 0)
@@ -215,6 +193,9 @@ class RandVertexColoring:
             else:
                 view.twice_plus.append(c)
         return view
+
+    def _palette_limit(self, v: int) -> int:
+        return self.graph.degree(v) + 1 if self.adaptive else self.palette
 
     # -- color table maintenance ----------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
 
@@ -70,7 +70,8 @@ def check_proper_edge(
 def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, List[int]]:
     """Both band invariants recounted from adjacency and levels alone.
 
-    Also returns the recounted below-degrees so fuller audits can reuse them.
+    Also returns the recounted below-degrees, which ``check_hierarchy``
+    reuses when handed this result.
     """
     bad: List[tuple] = []
     level = part.level
@@ -101,10 +102,18 @@ def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, Lis
     return AuditReport.from_violations(bad), below_count
 
 
-def check_hierarchy(graph: DynamicGraph, part) -> AuditReport:
-    """Recount both band invariants and the neighbor-set partition from adjacency."""
-    report, below_count = recount_band_invariants(graph, part)
-    bad = report.violations
+def check_hierarchy(
+    graph: DynamicGraph,
+    part,
+    recount: Optional[Tuple[AuditReport, List[int]]] = None,
+) -> AuditReport:
+    """Recount both band invariants and the neighbor-set partition from adjacency.
+
+    ``recount`` is a ``recount_band_invariants`` result for the same state;
+    passing it skips a second recount.
+    """
+    report, below_count = recount or recount_band_invariants(graph, part)
+    bad = list(report.violations)
     level = part.level
     for v in range(graph.n):
         lv = level[v]

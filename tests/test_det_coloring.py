@@ -83,7 +83,7 @@ def test_insert_differing_first_coordinate_touches_level_zero_only():
     g.insert(0, 1)
     assert eng.nstar[0][0] == {1} and eng.nstar[1][0] == {0}
     assert not eng.nstar[0][1] and not eng.nstar[1][1]
-    assert eng.potential() == 2
+    assert eng.phi == 2
 
 
 def test_insert_identical_tuples_triggers_repair():
@@ -128,9 +128,9 @@ def test_delete_updates_every_shared_prefix_level():
     i = 0
     while i < eng.params.levels and eng.coords[0][i] == eng.coords[1][i]:
         i += 1
-    phi0 = eng.potential()
+    phi0 = eng.phi
     g.delete(0, 1)
-    assert eng.potential() == phi0 - 2 * (i + 1)
+    assert eng.phi == phi0 - 2 * (i + 1)
     assert all(not s for s in eng.nstar[0])
     assert verify.check_tuple_state(g, eng).passed
 
@@ -143,14 +143,14 @@ def test_deleting_every_edge_returns_every_class_to_the_shared_empty_set():
     for h in list(g.edges()):
         g.delete(h.lo, h.hi)
     assert all(cls is NO_NEIGHBORS for classes in eng.nstar for cls in classes)
-    assert eng.potential() == 0
+    assert eng.phi == 0
     assert verify.check_tuple_state(g, eng).passed
 
 
 def test_potential_empty_graph_is_zero():
     g = new_graph(10, 16)
     eng = TupleVertexColoring(g)
-    assert eng.potential() == 0
+    assert eng.phi == 0
 
 
 def test_repair_picks_least_loaded_value():
@@ -230,7 +230,7 @@ def test_rebuild_oracle_after_heavy_churn_and_drain():
     assert verify.check_tuple_state(g, eng).passed
     for h in list(g.edges()):
         g.delete(h.lo, h.hi)
-    assert eng.potential() == 0
+    assert eng.phi == 0
     assert verify.check_tuple_state(g, eng).passed
 
 

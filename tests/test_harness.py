@@ -16,7 +16,7 @@ from colorbench import (
     InvalidSpec,
     TraceParseError,
 )
-from colorbench import cli, harness
+from colorbench import cli, harness, verify
 from colorbench.harness import TraceSpec, generate, parse_trace, format_trace
 
 
@@ -217,6 +217,34 @@ def test_run_stops_with_exit_one_on_audit_failure(monkeypatch):
     assert res.totals["cum_cells_touched"] == int(last["cum_cells_touched"]) > 0
 
 
+def test_deep_rand_vc_audit_recounts_the_bands_once(monkeypatch):
+    g, eng = harness.make_engine("rand-vc", 30, 8, seed=1, beta=2)
+    for ev in generate(TraceSpec(30, 8, 500, 2, "uniform-random")):
+        g.apply(ev)
+    eng.hier.level[3] = 6  # lie about a level: bands and lists both break
+    recount = verify.recount_band_invariants
+    calls = []
+
+    def counted(graph, part):
+        calls.append(1)
+        return recount(graph, part)
+
+    monkeypatch.setattr(verify, "recount_band_invariants", counted)
+    reports = dict(harness.audit_engine("rand-vc", g, eng, deep=True))
+    assert len(calls) == 1
+    assert list(reports) == [
+        "proper-vertex", "palette", "hierarchy-bands", "hierarchy-lists", "upper-counts",
+    ]
+    # The lists report still holds the band violations, and only it holds
+    # the list violations.
+    monkeypatch.undo()
+    bands, _ = verify.recount_band_invariants(g, eng.hier)
+    assert reports["hierarchy-bands"].violations == bands.violations
+    lists = verify.check_hierarchy(g, eng.hier)
+    assert reports["hierarchy-lists"].violations == lists.violations
+    assert len(lists.violations) > len(bands.violations)
+
+
 RECEIPT_CASES = [
     ("rand-vc", 16),
     ("rand-vc", None),
@@ -253,6 +281,8 @@ def test_det_vc_fallback_writes_the_greedy_columns():
 # with engine seed 3, beta=2 and audits every 500 updates; recorded when every
 # engine's CSV still carried all engines' columns, zero-filled. The totals
 # are that run's, with the keys each engine does not report left out.
+# rand-vc's draw columns and totals were re-recorded when its draw became
+# uniform over every blank or unique color; its level moves did not change.
 CSV_TRACE_GOLDEN = {
     "sequence_number": "44a5281ba25c322fbc1854442ab7d61574e67c11b1ed57f1565d7fac8b56b06f",
     "kind": "5c0560395000fd071405e875a0edf40a2ccd1b9509498fc4435d5a2829ad970e",
@@ -262,12 +292,12 @@ CSV_TRACE_GOLDEN = {
 }
 CSV_ENGINE_GOLDEN = {
     "rand-vc": {
-        "recolor_calls": "3f70166dd463db99cc5d1a751c2a00f72dd4e75de957891b4cba748bdf025d5f",
-        "chain_len_max": "3f70166dd463db99cc5d1a751c2a00f72dd4e75de957891b4cba748bdf025d5f",
-        "pool_size_min": "4d929c4dc192206c31750dcf0ed61c1d21eb3b86d82038e507b0fb6428ab94d9",
-        "cells_touched": "7131e6c1bbf84db83e88657f7d01160e20641e143d98658578d4e2da392f5198",
+        "recolor_calls": "5a6d793c31e697b212d9a7dd25098c63ec59652ef0cb5ca526298708d3a4717d",
+        "chain_len_max": "5a6d793c31e697b212d9a7dd25098c63ec59652ef0cb5ca526298708d3a4717d",
+        "pool_size_min": "a1ff16057a8f67318aae4f78996c3ce6d4f3daa22141abb81e224fe17e55e9ea",
+        "cells_touched": "8057e9e24c0ec788f26750158781a6e159c72b331422a81cdd71d7573dd7fdfa",
         "level_moves": "2413a9aef6b48d05b754285b8479933e4744a3499ba62eab2d30231534da9af0",
-        "cum_cells_touched": "a5b49f0ff60a26dbb44563e976da0221af7f955aacaed5873edd06bf3efca4c2",
+        "cum_cells_touched": "3e8cbe66039164b4feecb581322146e22522f27ed2cf1b03f54bf2c1469e0967",
     },
     "det-vc": {
         "fix_iterations": "2cdb87e556eea0e43848e6c9b22279fd5efd18df84136dbf15bf78b2eddf6079",
@@ -291,8 +321,8 @@ CSV_ENGINE_GOLDEN = {
     },
 }
 TOTALS_GOLDEN = {
-    "rand-vc": {"recolor_calls": 88, "level_moves": 64, "chain_len_max": 2,
-                "cum_cells_touched": 23696},
+    "rand-vc": {"recolor_calls": 93, "level_moves": 64, "chain_len_max": 2,
+                "cum_cells_touched": 23994},
     "det-vc": {"fix_iterations": 690, "cum_cells_touched": 43608},
     "edge-c": {"recolored_edges": 0, "tree_visits": 76747, "cum_cells_touched": 76747},
     "greedy-baseline": {"recolor_calls": 3006, "cum_cells_touched": 45058},

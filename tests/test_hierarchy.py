@@ -1,4 +1,4 @@
-"""Level partition: band search, restore loop, tokens, amortized trend."""
+"""Level partition: band search, restore loop, amortized trend."""
 
 import random
 
@@ -48,7 +48,7 @@ def test_base_below_two_rejected():
 def test_initial_state_all_bottom():
     p = LevelPartition(6, 100, beta=2)
     assert p.level == [4] * 6
-    assert p.dump().splitlines() == [f"{v} 4 0" for v in range(6)]
+    assert [len(b) for b in p.below] == [0] * 6
 
 
 # -- promotion ---------------------------------------------------------------------
@@ -60,9 +60,9 @@ def test_star_center_promotes_at_seventeen_same_level_neighbors():
     g, p = attach(40, 32, beta=2)
     for v in range(1, 17):
         g.insert(0, v)
-        assert p.level_of(0) == 4  # 16 <= 16: boundary, not dirty
+        assert p.level[0] == 4  # 16 <= 16: boundary, not dirty
     r = g.insert(0, 17)
-    assert p.level_of(0) == 5
+    assert p.level[0] == 5
     assert r.stats["level_moves"] == 1
     assert check_hierarchy(g, p).passed
 
@@ -71,7 +71,7 @@ def test_exact_band_boundary_is_clean():
     g, p = attach(40, 32, beta=2)
     for v in range(1, 17):
         g.insert(0, v)
-    assert p.level_of(0) == 4
+    assert p.level[0] == 4
     assert not p.violates_upper(0)
 
 
@@ -81,12 +81,12 @@ def test_promotion_skips_levels_when_band_full():
     g, p = attach(40, 33, beta=2)
     for v in range(1, 18):
         g.insert(0, v)
-    assert p.level_of(0) == 5
+    assert p.level[0] == 5
     for v in range(18, 33):
         g.insert(0, v)
-    assert p.level_of(0) == 5  # 32 == 2**5 sits exactly on the band edge
+    assert p.level[0] == 5  # 32 == 2**5 sits exactly on the band edge
     g.insert(0, 33)
-    assert p.level_of(0) == 6  # 33 <= 64
+    assert p.level[0] == 6  # 33 <= 64
     assert check_hierarchy(g, p).passed
 
 
@@ -114,13 +114,13 @@ def test_star_center_demotes_to_bottom_when_below_empties():
     g, p = attach(40, 32, beta=2)
     for v in range(1, 18):
         g.insert(0, v)
-    assert p.level_of(0) == 5
+    assert p.level[0] == 5
     # below-degree floor at level 5 is 2**0 = 1
     for v in range(1, 17):
         g.delete(0, v)
-        assert p.level_of(0) == 5
+        assert p.level[0] == 5
     g.delete(0, 17)
-    assert p.level_of(0) == 4
+    assert p.level[0] == 4
     assert check_hierarchy(g, p).passed
 
 
@@ -145,7 +145,7 @@ def test_demotion_lands_at_maximum_supported_level():
     assert p.L == 10
     assert p.violates_lower(0)
     assert p.demote(0) == 5
-    assert p.level_of(0) == 5
+    assert p.level[0] == 5
     assert p.below_degree(0) == 16
     assert len(p.same_list(0, 5)) == 8
 
@@ -158,7 +158,7 @@ def test_demotion_falls_to_bottom_when_no_level_supports():
     p = synthetic_partition(levels, edges, delta=100, beta=2)
     assert p.violates_lower(0)
     assert p.demote(0) == 4
-    assert p.level_of(0) == 4
+    assert p.level[0] == 4
     # all former below-neighbors now sit at or above vertex 0
     assert p.below_degree(0) == 0
     assert len(p.same_list(0, 4)) == 1
@@ -178,10 +178,10 @@ def test_shared_empty_neighbor_set_refuses_writes_and_stays_empty():
     # never gain a lower neighbor, so their below sets stay the shared one.
     for v in range(1, 18):
         g.insert(0, v)
-    assert p.level_of(0) == 5 and p.below_degree(0) == 17
+    assert p.level[0] == 5 and p.below_degree(0) == 17
     for v in range(1, 18):
         g.delete(0, v)
-    assert p.level_of(0) == 4
+    assert p.level[0] == 4
     assert all(p.below[v] is EMPTY_NEIGHBORS for v in range(1, 40))
     assert len(EMPTY_NEIGHBORS) == 0 and list(EMPTY_NEIGHBORS) == []
 
@@ -236,30 +236,7 @@ def test_moves_are_deterministic():
     assert run() == run()
 
 
-# -- tokens ---------------------------------------------------------------------------
-
-
-def test_tokens_empty_graph():
-    p = LevelPartition(5, 10, beta=2)
-    ledger, delta = p.audit_tokens()
-    assert ledger.total == 0
-    assert delta == 0
-
-
-def test_edge_token_is_levels_above_endpoints():
-    g, p = attach(4, 4, beta=21)  # L = 5, everything at level 4
-    g.insert(0, 1)
-    ledger, delta = p.audit_tokens()
-    assert ledger.edge_tokens == {(0, 1): 1}  # 5 - max(4, 4)
-    assert ledger.vertex_tokens == {}
-    assert delta == 1
-
-
-def test_vertex_token_closed_form():
-    # level-6 vertex with empty below list at beta=2: (2**5 - 0) / (2*2) = 8
-    p = synthetic_partition([6, 4], [], delta=100, beta=2)
-    ledger, _ = p.audit_tokens()
-    assert ledger.vertex_tokens[0] == 8.0
+# -- amortized work ---------------------------------------------------------------
 
 
 def test_amortized_cell_touches_trend():

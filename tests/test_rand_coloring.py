@@ -104,9 +104,21 @@ def test_properness_after_every_update_on_random_trace():
 def test_isolated_vertex_recolor_no_recursion():
     g = new_graph(5, 4)
     eng = RandVertexColoring(g, seed=3)
-    chain = eng.recolor(0)
+    chain, _ = eng.recolor(0)
     assert len(chain) == 1
     assert 1 <= eng.chi[0] <= 5
+
+
+def test_isolated_vertex_draws_from_the_whole_palette():
+    # Every color is blank for an isolated vertex, so the pool's last index
+    # is the top of the palette, above beta**level = 16 at level 4.
+    g = new_graph(5, 32)
+    eng = RandVertexColoring(g, seed=0, beta=2)
+    assert eng.hier.level[0] == BOTTOM_LEVEL
+    eng.rng = IndexRng(10**6)
+    chain, pool_min = eng.recolor(0)
+    assert chain == [(0, 33)]
+    assert pool_min == 33
 
 
 def test_unique_draw_recurses_exactly_once_to_below_neighbor():
@@ -117,17 +129,17 @@ def test_unique_draw_recurses_exactly_once_to_below_neighbor():
     eng = RandVertexColoring(g, seed=0, beta=2)
     for v in range(1, 18):
         g.insert(0, v)
-    assert eng.hier.level_of(0) == 5
+    assert eng.hier.level[0] == 5
     for v in range(2, 18):
         g.delete(0, v)
-    assert eng.hier.level_of(0) == 5
+    assert eng.hier.level[0] == 5
     assert eng.hier.below_degree(0) == 1
 
     view = eng.blank_unique(0)
     assert view.unique == [eng.chi[1]]
     eng.rng = IndexRng(view.unique[0] - 1)  # pool is ascending: color c at index c-1
     old_below_color = eng.chi[1]
-    chain = eng.recolor(0)
+    chain, _ = eng.recolor(0)
     assert [v for v, _ in chain] == [0, 1]
     assert eng.chi[0] == old_below_color
     assert eng.chi[1] != old_below_color
@@ -204,6 +216,36 @@ def test_recolor_that_does_not_descend_raises():
         eng._recolor(0, [], parent_level=eng.hier.level[0])
 
 
+def test_every_draw_spans_the_brute_force_blank_unique_split():
+    g, eng = make_engine("rand-vc", 66, 32, seed=2, beta=2)
+    entered = []  # a draw happens before any descent, so the last entry draws
+    draws = []  # (pool size, level) of every draw
+    inner, real = eng._recolor, eng.rng
+
+    def recolor(v, chain, parent_level):
+        entered.append(v)
+        return inner(v, chain, parent_level)
+
+    class CheckedRng:
+        def randrange(self, n):
+            v = entered[-1]
+            blank, unique, _ = verify.brute_blank_unique(g, eng.chi, eng.hier, v, eng.palette)
+            assert n == len(blank | unique), (v, n, len(blank | unique))
+            draws.append((n, eng.hier.level[v]))
+            return real.randrange(n)
+
+    eng._recolor = recolor
+    eng.rng = CheckedRng()
+    moves = recolors = 0
+    for ev in block_cycles(4, 2, 32, 1):
+        stats = g.apply(ev).stats
+        moves += stats["level_moves"]
+        recolors += stats["recolor_calls"]
+    assert moves, "trace failed to exercise level moves"
+    assert len(draws) == recolors > 0
+    assert any(n > 2**level for n, level in draws), "no pool wider than beta**level"
+
+
 # -- table consistency across moves ------------------------------------------------
 
 
@@ -235,7 +277,7 @@ def test_adaptive_isolated_vertex_forced_to_one():
     g = new_graph(5, None)
     eng = RandVertexColoring(g, seed=9, adaptive=True)
     assert eng.chi == [1] * 5
-    chain = eng.recolor(0)
+    chain, _ = eng.recolor(0)
     assert eng.chi[0] == 1  # only color in the singleton palette
 
 
@@ -320,10 +362,12 @@ def neighbor_layout(hier):
 
 
 def test_colors_levels_and_neighbor_order_match_the_golden(cycled):
-    # Recorded when the neighbor sets were linked lists of cells (626
-    # promotions, 153 demotions). The order of each set decides the order of
-    # restore-queue entries and of recolor scans, so a set that kept
-    # membership but not order would fail at least the layout digest.
+    # Levels and layout recorded when the neighbor sets were linked lists of
+    # cells (626 promotions, 153 demotions); colors recorded when the draw
+    # became uniform over every blank or unique color. The order of each set
+    # decides the order of restore-queue entries and of recolor scans, so a
+    # set that kept membership but not order would fail at least the layout
+    # digest.
     g, eng, moves = cycled
     assert moves == 779
 
@@ -331,7 +375,7 @@ def test_colors_levels_and_neighbor_order_match_the_golden(cycled):
         return hashlib.sha256(text.encode()).hexdigest()
 
     assert digest(",".join(map(str, eng.chi))) == (
-        "0236de156aad101b7685fb14f6654f3e711396cd24e9513626246aef862b8fcb"
+        "74659343187ab683d69a207b40b7468a839ddb40f7959c275ac4e3b9ec4fc187"
     )
     assert digest(",".join(map(str, eng.hier.level))) == (
         "24a8c4fe79e3298ba60dbfb33ae3e05af4f23462659916a266a2e68412714cf7"
