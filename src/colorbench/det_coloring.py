@@ -10,6 +10,17 @@ which at i = L forces D_L(v) = 0, i.e. a proper coloring. A violated vertex
 rewrites its color coordinate-by-coordinate from the smallest violated index,
 each time picking the value that minimizes the surviving prefix class.
 
+A run starts vertex v at color (v mod lam**L) + 1: its tuple is the base-lam
+digits of v mod lam**L, most significant first, as ``color_of`` reads them.
+Any coloring of the empty graph is proper and the repair bound holds from
+any proper start, whereas a (1, ..., 1) start for every vertex makes nearly
+every insert between fresh vertices share all L coordinates and force a
+repair. With the most significant digit first, ids below lam**(L-k) share
+their first k coordinates, so a graph on few vertices still starts in few
+prefix classes and exercises the repair loop; the least significant digit
+first would split it at coordinate 1 (a 200-vertex delta=128 trace then
+needs no repair at all).
+
 All threshold comparisons are done in exact integer arithmetic:
 D * (lam*(lam-1))**i <= delta * (lam+1)**i, so no float rounding can ever
 flip a verdict.
@@ -53,6 +64,22 @@ def _leave(classes: List[AbstractSet[int]], j: int, u: int) -> None:
     cls.remove(u)
     if not cls:
         classes[j] = NO_NEIGHBORS
+
+
+def _start_coords(n: int, lam: int, levels: int) -> List[List[int]]:
+    """Coordinates of the start coloring: vertex v gets the base-lam digits
+    of v mod lam**levels, most significant first, each plus one.
+
+    v's digits are those of v // lam shifted left by one, plus v % lam; from
+    lam**levels on, each vertex copies the one a palette below it.
+    """
+    palette = lam**levels
+    coords = [[1] * levels] if n else []
+    for v in range(1, min(n, palette)):
+        coords.append(coords[v // lam][1:] + [v % lam + 1])
+    for v in range(palette, n):
+        coords.append(coords[v - palette][:])
+    return coords
 
 
 @dataclass(frozen=True)
@@ -122,7 +149,7 @@ class TupleVertexColoring:
         self.params = params if params is not None else DetParams.compute(graph.max_degree)
         n = graph.n
         L = self.params.levels
-        self.coords: List[List[int]] = [[1] * L for _ in range(n)]
+        self.coords: List[List[int]] = _start_coords(n, self.params.radix, L)
         # nstar[v][i] = neighbors sharing v's length-i prefix; level 0 is all.
         self.nstar: List[List[AbstractSet[int]]] = [
             [NO_NEIGHBORS] * (L + 1) for _ in range(n)

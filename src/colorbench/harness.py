@@ -18,7 +18,12 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 from . import verify
 from .det_coloring import GreedyVertexColoring, make_det_engine
 from .edge_coloring import EdgeColoring
-from .errors import InternalInvariantViolation, InvalidSpec, TraceParseError
+from .errors import (
+    InternalInvariantViolation,
+    InvalidSpec,
+    TraceParseError,
+    UnknownVertex,
+)
 from .graph import DELETE, INSERT, DynamicGraph, UpdateEvent
 from .rand_coloring import RandVertexColoring
 
@@ -222,24 +227,31 @@ def parse_trace(text: str) -> Tuple[Trace, Dict[str, str]]:
     return events, meta
 
 
+def _first_unknown_vertex(events: Trace, n: int) -> Optional[Tuple[int, int]]:
+    """(index, id) of the first update naming a vertex outside [0, n), or None."""
+    for ev in events:  # no enumerate: this pass runs before every replay
+        if not (0 <= ev.u < n and 0 <= ev.v < n):
+            # an equal event earlier in the trace would have stopped the loop
+            return events.index(ev), ev.u if not 0 <= ev.u < n else ev.v
+    return None
+
+
 def check_vertex_ids(events: Trace, n: int, text: str) -> None:
     """Raise TraceParseError unless every vertex id lies in [0, n).
 
     ``events`` must be ``parse_trace(text)``'s; the error names the first
     offending line of ``text``.
     """
-    for idx, ev in enumerate(events):
-        if not (0 <= ev.u < n and 0 <= ev.v < n):
-            break
-    else:
+    unknown = _first_unknown_vertex(events, n)
+    if unknown is None:
         return
+    idx, bad = unknown
     update_lines = (
         lineno
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if raw.strip() and not raw.strip().startswith("#")
     )
     lineno = next(islice(update_lines, idx, None))
-    bad = ev.u if not 0 <= ev.u < n else ev.v
     raise TraceParseError(f"line {lineno}: vertex {bad} outside 0..{n - 1} (n={n})")
 
 
@@ -376,8 +388,13 @@ def run(
     """Replay a trace through one engine with periodic full audits.
 
     Returns exit code 0, or 1 if any audit failed (the run stops at the
-    failing checkpoint).
+    failing checkpoint). A vertex id outside [0, n) anywhere in the trace
+    raises UnknownVertex, naming its update (1-based), before any output.
     """
+    unknown = _first_unknown_vertex(events, n)
+    if unknown is not None:
+        idx, bad = unknown
+        raise UnknownVertex(f"update {idx + 1}: vertex {bad} outside [0, {n})")
     graph, engine = make_engine(engine_name, n, delta, seed=seed, beta=beta)
     fields = engine.RECEIPT_FIELDS
     row_fields = itemgetter(*fields)

@@ -62,10 +62,19 @@ class RandVertexColoring:
         self.hier = LevelPartition(n, max(1, delta_cap), beta)
         self.hier.move_listener = self._on_level_move
 
-        if adaptive:
-            self.chi = [1] * n
-        else:
-            self.chi = [self.rng.randint(1, self.palette) for _ in range(n)]
+        self.chi = [1] * n
+        if not adaptive:
+            # randint(1, palette) for each vertex, inlined as CPython's
+            # randrange does it: the same draws at a fraction of the calls
+            bits = self.rng.getrandbits
+            palette = self.palette
+            k = palette.bit_length()
+            chi = self.chi
+            for v in range(n):
+                r = bits(k)
+                while r >= palette:
+                    r = bits(k)
+                chi[v] = r + 1
         self.tau = [0] * n
         self.mu: List[Dict[int, int]] = [dict() for _ in range(n)]
 

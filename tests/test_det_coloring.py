@@ -73,6 +73,28 @@ def test_small_delta_falls_back_to_greedy():
     assert max(eng.chi) <= 9
 
 
+# -- start coloring ---------------------------------------------------------------
+
+
+def test_start_colors_count_up_through_the_palette_and_wrap():
+    g = new_graph(20_000, 32)
+    eng = TupleVertexColoring(g)
+    palette = eng.params.palette
+    assert palette == 15_625 < g.n
+    assert eng.colors() == [v % palette + 1 for v in range(g.n)]
+    assert verify.check_tuple_state(g, eng).passed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_spread_start_needs_few_repairs_on_a_sparse_trace(seed):
+    # From the all-ones start these traces took 2,122 and 2,118 repairs.
+    g, eng = make_engine("det-vc", 3000, 32)
+    for ev in generate(TraceSpec(3000, 32, 3000, seed, "uniform-random")):
+        g.apply(ev)
+    assert eng.fix_iterations_total <= 300
+    assert verify.check_tuple_state(g, eng).passed
+
+
 # -- structural updates -----------------------------------------------------------
 
 
@@ -89,6 +111,8 @@ def test_insert_differing_first_coordinate_touches_level_zero_only():
 def test_insert_identical_tuples_triggers_repair():
     g = new_graph(4, 16)
     eng = TupleVertexColoring(g)
+    eng.coords[0] = [1] * eng.params.levels
+    eng.coords[1] = [1] * eng.params.levels
     r = g.insert(0, 1)
     assert r.stats["fix_iterations"] >= 1
     assert eng.coords[0] != eng.coords[1]
@@ -103,6 +127,8 @@ def test_repair_events_name_vertex_index_and_tuples():
     g.attach(None)
     g.insert(2, 3)
     L = eng.params.levels
+    eng.coords[2] = [1] * L
+    eng.coords[3] = [1] * L
     for j in range(L + 1):
         eng.nstar[2][j] = {3}
         eng.nstar[3][j] = {2}

@@ -15,6 +15,7 @@ from colorbench import (
     GreedyVertexColoring,
     InvalidSpec,
     TraceParseError,
+    UnknownVertex,
 )
 from colorbench import cli, harness, verify
 from colorbench.harness import TraceSpec, generate, parse_trace, format_trace
@@ -171,6 +172,18 @@ def test_run_empty_trace_writes_header_only():
     assert lines[0].split(",")[0] == "sequence_number"
 
 
+@pytest.mark.parametrize("bad", [(2, 7), (-1, 3), (4, 0)])
+def test_run_rejects_an_unknown_vertex_before_any_output(bad):
+    line = f"+ {bad[0]} {bad[1]}\n"
+    events, _ = parse_trace("+ 0 1\n+ 1 2\n" + line + "+ 0 2\n" + line)
+    metrics, audits = io.StringIO(), io.StringIO()
+    with pytest.raises(UnknownVertex, match=r"^update 3: vertex (7|-1|4) outside \[0, 4\)$"):
+        harness.run(
+            events, "rand-vc", 4, 3, audit_every=1, metrics_out=metrics, audit_out=audits
+        )
+    assert metrics.getvalue() == "" and audits.getvalue() == ""
+
+
 @pytest.mark.parametrize("engine", harness.ENGINES)
 def test_run_all_engines_clean(engine):
     events = generate(TraceSpec(40, 16, 1500, 5, "uniform-random"))
@@ -283,6 +296,8 @@ def test_det_vc_fallback_writes_the_greedy_columns():
 # are that run's, with the keys each engine does not report left out.
 # rand-vc's draw columns and totals were re-recorded when its draw became
 # uniform over every blank or unique color; its level moves did not change.
+# det-vc's were re-recorded when vertex v started at color (v mod palette)+1
+# instead of (1, ..., 1); its phi_after column did not change.
 CSV_TRACE_GOLDEN = {
     "sequence_number": "44a5281ba25c322fbc1854442ab7d61574e67c11b1ed57f1565d7fac8b56b06f",
     "kind": "5c0560395000fd071405e875a0edf40a2ccd1b9509498fc4435d5a2829ad970e",
@@ -300,12 +315,12 @@ CSV_ENGINE_GOLDEN = {
         "cum_cells_touched": "3e8cbe66039164b4feecb581322146e22522f27ed2cf1b03f54bf2c1469e0967",
     },
     "det-vc": {
-        "fix_iterations": "2cdb87e556eea0e43848e6c9b22279fd5efd18df84136dbf15bf78b2eddf6079",
-        "coords_rewritten": "15ecfc76e768480cb66eb3d7f1befaed4ac1c2e2f67f8762eb9697d21eaefd24",
-        "phi_before": "c26be6f7603ab3566a512d57d0725c2a30e458353bec2ccb4b9fbb179e2f96ae",
+        "fix_iterations": "de9059229f52f4ae2a2f920e34d807bcf59694170490568c512fb966de2141a6",
+        "coords_rewritten": "319acb9a7ad510f5f48a07a14f22b35c935fa422b9aca13c2f01d0cf91bf4a58",
+        "phi_before": "264c762141a64c6ae976c1d331624ce8a824e7c211cf0dea2369b967d241ee95",
         "phi_after": "fa67a3b264b8a5870dbe2e671af5f7369c1634a432f12e8f938cd02033546d1a",
-        "cells_touched": "cb29ca5727c894645166f5a58da6d3619ccbe05dccfd6d427c283d568545b7f3",
-        "cum_cells_touched": "014e0bb1dc1c2f9ed291f45b0400eb7032df60acd1d2ce44835cf72b4bdaa7a9",
+        "cells_touched": "9d5a65d3cf2004e69d5c78d20c5557f3b77077a1dfc55e5aabd6b51a974caf03",
+        "cum_cells_touched": "302de2e8eb9c98568a5360ce73bd5fafa5b46fb9e0faa792b89d52f52b822af2",
     },
     "edge-c": {
         "tree_visits": "ba7036136382e9d04fb46d7e2459ae92d53f8eb6e238b7f6e5aaf20c92a2d0c4",
@@ -323,7 +338,7 @@ CSV_ENGINE_GOLDEN = {
 TOTALS_GOLDEN = {
     "rand-vc": {"recolor_calls": 93, "level_moves": 64, "chain_len_max": 2,
                 "cum_cells_touched": 23994},
-    "det-vc": {"fix_iterations": 690, "cum_cells_touched": 43608},
+    "det-vc": {"fix_iterations": 648, "cum_cells_touched": 40347},
     "edge-c": {"recolored_edges": 0, "tree_visits": 76747, "cum_cells_touched": 76747},
     "greedy-baseline": {"recolor_calls": 3006, "cum_cells_touched": 45058},
 }

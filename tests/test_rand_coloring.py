@@ -98,6 +98,18 @@ def test_properness_after_every_update_on_random_trace():
         assert max(eng.chi) <= eng.palette
 
 
+@pytest.mark.parametrize("palette", [2, 17, 32, 33, 129])
+def test_start_colors_are_one_randint_per_vertex(palette):
+    n = 500
+    for seed in (0, 1, 7, 2024):
+        eng = RandVertexColoring(new_graph(n, palette - 1), seed=seed)
+        assert eng.palette == palette
+        ref = random.Random(seed)
+        assert eng.chi == [ref.randint(1, palette) for _ in range(n)]
+        # the stream is left where n randint calls leave it
+        assert eng.rng.getstate() == ref.getstate()
+
+
 # -- recolor mechanics -----------------------------------------------------------
 
 
