@@ -26,6 +26,7 @@ from .errors import (
     DegreeBoundExceeded,
     DeltaTooSmall,
     DuplicateEdge,
+    InputError,
     InternalInvariantViolation,
     InvalidBase,
     InvalidSpec,
@@ -54,6 +55,7 @@ __all__ = [
     "EdgeHandle",
     "GreedyVertexColoring",
     "INSERT",
+    "InputError",
     "InternalInvariantViolation",
     "InvalidBase",
     "InvalidSpec",

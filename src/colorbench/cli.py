@@ -1,6 +1,7 @@
 """colorbench command line: gen | run | compare.
 
-Exit codes: 0 ok, 1 audit failure, 2 usage error.
+Exit codes: 0 ok, 1 audit failure, 2 usage error (a refused trace update
+included), which names the trace line at fault and leaves no output file.
 """
 
 from __future__ import annotations
@@ -8,20 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import ExitStack
-from typing import List, Optional, TextIO
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, List, Optional, TextIO
 
 from . import harness
-from .errors import (
-    ColorbenchError,
-    DegreeBoundExceeded,
-    DuplicateEdge,
-    InvalidSpec,
-    MissingEdge,
-    SelfLoop,
-    TraceParseError,
-    UnknownVertex,
-)
+from .errors import ColorbenchError, InputError, InvalidSpec
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -90,27 +82,33 @@ def _resolve_shape(args, meta) -> tuple[int, Optional[int], int]:
         delta = int(meta["delta"])
     else:
         raise InvalidSpec("degree bound unknown: pass --delta or --adaptive")
+    for name, value in (("n", n), ("delta", delta), ("audit-every", args.audit_every)):
+        if value is not None and value < 0:
+            raise InvalidSpec(f"{name} must be nonnegative, got {value}")
     # the engine seed is independent of the trace's generation seed
     return n, delta, args.seed
 
 
-def _open_outputs(stack: ExitStack, *paths: Optional[str]) -> List[Optional[TextIO]]:
-    """Open every given path for writing on ``stack``, or leave none behind."""
+@contextmanager
+def _open_outputs(*paths: Optional[str]) -> Iterator[List[Optional[TextIO]]]:
+    """Open every given path for writing. If an open fails, or the block
+    raises a usage error, remove every file opened and re-raise."""
     files: List[Optional[TextIO]] = []
-    try:
-        for path in paths:
-            files.append(stack.enter_context(open(path, "w", encoding="utf-8")) if path else None)
-    except OSError:
-        stack.close()
-        for f in files:
-            if f is not None:
-                os.remove(f.name)
-        raise
-    return files
+    with ExitStack() as stack:
+        try:
+            for path in paths:
+                files.append(stack.enter_context(open(path, "w", encoding="utf-8")) if path else None)
+            yield files
+        except (InputError, OSError):
+            stack.close()
+            for name in {f.name for f in files if f is not None}:
+                os.remove(name)
+            raise
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    text = None
     try:
         if args.command == "gen":
             if args.n is None or (args.delta is None and not args.adaptive):
@@ -134,11 +132,9 @@ def main(argv=None) -> int:
             text = f.read()
         events, meta = harness.parse_trace(text)
         n, delta, seed = _resolve_shape(args, meta)
-        harness.check_vertex_ids(events, n, text)
 
         if args.command == "run":
-            with ExitStack() as stack:
-                metrics, audits = _open_outputs(stack, args.metrics_out, args.audit_out)
+            with _open_outputs(args.metrics_out, args.audit_out) as (metrics, audits):
                 res = harness.run(
                     events,
                     args.engine,
@@ -167,18 +163,16 @@ def main(argv=None) -> int:
         )
         print(harness.render_table(rows))
         return code
-    except (
-        InvalidSpec,
-        TraceParseError,
-        OSError,
-        DuplicateEdge,
-        MissingEdge,
-        DegreeBoundExceeded,
-        SelfLoop,
-        UnknownVertex,
-    ) as exc:
+    except (InputError, OSError) as exc:
         # bad invocation or a trace the target graph cannot legally replay
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        update = getattr(exc, "update", None)
+        if update is not None and text is not None:
+            # the trace's update lines, as parse_trace reads them
+            lines = [i for i, raw in enumerate(text.splitlines(), 1)
+                     if raw.strip() and not raw.lstrip().startswith("#")]
+            message = f"line {lines[update - 1]}: {exc.args[0]}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except ColorbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

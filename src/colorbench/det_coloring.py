@@ -25,10 +25,16 @@ All threshold comparisons are done in exact integer arithmetic:
 D * (lam*(lam-1))**i <= delta * (lam+1)**i, so no float rounding can ever
 flip a verdict.
 
-A prefix class holds a set only while it has members: every empty class is
-the shared ``NO_NEIGHBORS``, and a class that empties returns to it, so
-memory grows with the occupied (vertex, prefix length) classes and not with
-n*(L+1).
+The length-0 class of v is all of N(v), which the graph already keeps, so
+the engine stores no copy of it: on v's first insert ``nstar[v][0]`` becomes
+the live keys view of the graph's adjacency dict for v, and updates join and
+leave classes of length 1 and up only. The cell count and the potential phi
+still charge length 0 one entry per endpoint, as if it were stored.
+
+A prefix class of length 1 and up holds a set only while it has members:
+every empty class is the shared ``NO_NEIGHBORS``, and a class that empties
+returns to it, so memory grows with the occupied (vertex, prefix length)
+classes and not with n*(L+1).
 
 Below ``DELTA_MIN`` the parameter scheme degenerates and a plain greedy
 (delta+1) engine is substituted; ``make_det_engine`` dispatches.
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice, product, repeat, starmap
 from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
 
 from .errors import DeltaTooSmall, InternalInvariantViolation
@@ -70,16 +77,14 @@ def _start_coords(n: int, lam: int, levels: int) -> List[List[int]]:
     """Coordinates of the start coloring: vertex v gets the base-lam digits
     of v mod lam**levels, most significant first, each plus one.
 
-    v's digits are those of v // lam shifted left by one, plus v % lam; from
-    lam**levels on, each vertex copies the one a palette below it.
+    ``product`` counts in that digit order; a fresh one starts every
+    lam**levels vertices. (``cycle`` would keep every tuple until the end,
+    which doubled set-up time through garbage collection at n=30,000.)
+    The slice copies to the exact length: ``list`` of a 5-tuple keeps a
+    spare slot, 8 B per vertex.
     """
-    palette = lam**levels
-    coords = [[1] * levels] if n else []
-    for v in range(1, min(n, palette)):
-        coords.append(coords[v // lam][1:] + [v % lam + 1])
-    for v in range(palette, n):
-        coords.append(coords[v - palette][:])
-    return coords
+    counters = starmap(product, repeat([range(1, lam + 1)] * levels))
+    return [c[:] for c in map(list, islice(chain.from_iterable(counters), n))]
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,8 @@ class TupleVertexColoring:
         n = graph.n
         L = self.params.levels
         self.coords: List[List[int]] = _start_coords(n, self.params.radix, L)
-        # nstar[v][i] = neighbors sharing v's length-i prefix; level 0 is all.
+        # nstar[v][i] = neighbors sharing v's length-i prefix. Length 0 is all
+        # of N(v): the graph's own keys view, bound on v's first insert.
         self.nstar: List[List[AbstractSet[int]]] = [
             [NO_NEIGHBORS] * (L + 1) for _ in range(n)
         ]
@@ -186,7 +192,11 @@ class TupleVertexColoring:
         u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
         nu, nv = self.nstar[u], self.nstar[v]
-        for j in range(i + 1):
+        if nu[0] is NO_NEIGHBORS:
+            nu[0] = self.graph._adj[u].keys()
+        if nv[0] is NO_NEIGHBORS:
+            nv[0] = self.graph._adj[v].keys()
+        for j in range(1, i + 1):
             _join(nu, j, v)
             _join(nv, j, u)
         self.phi += 2 * (i + 1)
@@ -213,7 +223,7 @@ class TupleVertexColoring:
         u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
         nu, nv = self.nstar[u], self.nstar[v]
-        for j in range(i + 1):
+        for j in range(1, i + 1):
             _leave(nu, j, v)
             _leave(nv, j, u)
         self.phi -= 2 * (i + 1)
@@ -372,12 +382,10 @@ class GreedyVertexColoring:
     # the keys of every on_insert / on_delete receipt, in order
     RECEIPT_FIELDS = ("recolor_calls", "cells_touched")
 
-    def __init__(self, graph: DynamicGraph, palette: int | None = None):
+    def __init__(self, graph: DynamicGraph):
         self.graph = graph
-        if palette is None:
-            cap = graph.max_degree if graph.max_degree is not None else max(1, graph.n - 1)
-            palette = cap + 1
-        self.palette = palette
+        cap = graph.max_degree if graph.max_degree is not None else max(1, graph.n - 1)
+        self.palette = cap + 1
         self.chi = [1] * graph.n
         self.cells = 0
         graph.attach(self)

@@ -5,27 +5,38 @@ class ColorbenchError(Exception):
     """Base class for all colorbench errors."""
 
 
-class SelfLoop(ColorbenchError):
+class InputError(ColorbenchError):
+    """Bad input: a refused update, a malformed trace or an unusable parameter.
+    A replay sets ``update``, the 1-based index of the update at fault."""
+
+    update: int | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.update is None else f"update {self.update}: {message}"
+
+
+class SelfLoop(InputError):
     """An update named the same vertex twice."""
 
 
-class DuplicateEdge(ColorbenchError):
+class DuplicateEdge(InputError):
     """Insert of an edge that is already present."""
 
 
-class MissingEdge(ColorbenchError):
+class MissingEdge(InputError):
     """Delete of an edge that is not present."""
 
 
-class DegreeBoundExceeded(ColorbenchError):
+class DegreeBoundExceeded(InputError):
     """Insert would push an endpoint past the declared degree bound."""
 
 
-class UnknownVertex(ColorbenchError):
+class UnknownVertex(InputError):
     """Vertex id outside the declared universe [0, n)."""
 
 
-class InvalidBase(ColorbenchError):
+class InvalidBase(InputError):
     """Level-partition growth base below the supported minimum."""
 
 
@@ -45,9 +56,9 @@ class InternalInvariantViolation(ColorbenchError):
     """
 
 
-class TraceParseError(ColorbenchError):
+class TraceParseError(InputError):
     """Malformed trace file."""
 
 
-class InvalidSpec(ColorbenchError):
+class InvalidSpec(InputError):
     """Trace generator parameters are unusable."""

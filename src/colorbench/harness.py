@@ -11,7 +11,7 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -19,6 +19,7 @@ from . import verify
 from .det_coloring import GreedyVertexColoring, make_det_engine
 from .edge_coloring import EdgeColoring
 from .errors import (
+    InputError,
     InternalInvariantViolation,
     InvalidSpec,
     TraceParseError,
@@ -227,34 +228,6 @@ def parse_trace(text: str) -> Tuple[Trace, Dict[str, str]]:
     return events, meta
 
 
-def _first_unknown_vertex(events: Trace, n: int) -> Optional[Tuple[int, int]]:
-    """(index, id) of the first update naming a vertex outside [0, n), or None."""
-    for ev in events:  # no enumerate: this pass runs before every replay
-        if not (0 <= ev.u < n and 0 <= ev.v < n):
-            # an equal event earlier in the trace would have stopped the loop
-            return events.index(ev), ev.u if not 0 <= ev.u < n else ev.v
-    return None
-
-
-def check_vertex_ids(events: Trace, n: int, text: str) -> None:
-    """Raise TraceParseError unless every vertex id lies in [0, n).
-
-    ``events`` must be ``parse_trace(text)``'s; the error names the first
-    offending line of ``text``.
-    """
-    unknown = _first_unknown_vertex(events, n)
-    if unknown is None:
-        return
-    idx, bad = unknown
-    update_lines = (
-        lineno
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip() and not raw.strip().startswith("#")
-    )
-    lineno = next(islice(update_lines, idx, None))
-    raise TraceParseError(f"line {lineno}: vertex {bad} outside 0..{n - 1} (n={n})")
-
-
 # -- engines and audits -----------------------------------------------------------
 
 
@@ -388,13 +361,18 @@ def run(
     """Replay a trace through one engine with periodic full audits.
 
     Returns exit code 0, or 1 if any audit failed (the run stops at the
-    failing checkpoint). A vertex id outside [0, n) anywhere in the trace
-    raises UnknownVertex, naming its update (1-based), before any output.
+    failing checkpoint). An update the graph refuses raises its InputError
+    with ``update`` set to the update's 1-based index. A vertex id outside
+    [0, n) anywhere in the trace raises UnknownVertex that way before any
+    output is written.
     """
-    unknown = _first_unknown_vertex(events, n)
-    if unknown is not None:
-        idx, bad = unknown
-        raise UnknownVertex(f"update {idx + 1}: vertex {bad} outside [0, {n})")
+    for ev in events:  # no enumerate: this pass runs before every replay
+        if not (0 <= ev.u < n and 0 <= ev.v < n):
+            bad = ev.u if not 0 <= ev.u < n else ev.v
+            exc = UnknownVertex(f"vertex {bad} outside [0, {n})")
+            # an equal event earlier in the trace would have stopped the loop
+            exc.update = events.index(ev) + 1
+            raise exc
     graph, engine = make_engine(engine_name, n, delta, seed=seed, beta=beta)
     fields = engine.RECEIPT_FIELDS
     row_fields = itemgetter(*fields)
@@ -427,7 +405,11 @@ def run(
         return ok
 
     for idx, ev in enumerate(events, start=1):
-        receipt = graph.apply(ev)
+        try:
+            receipt = graph.apply(ev)
+        except InputError as exc:
+            exc.update = idx
+            raise
         stats = receipt.stats
         cum_cells += stats["cells_touched"]
         for key in sums:

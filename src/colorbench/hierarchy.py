@@ -59,7 +59,7 @@ class LevelPartition:
     """
 
     def __init__(self, n: int, max_degree: int, beta: float = 21.0):
-        if beta < 2:
+        if not beta >= 2:  # NaN too
             raise InvalidBase(f"growth base {beta} below minimum 2")
         if max_degree < 1:
             raise ValueError("degree bound must be at least 1")

@@ -168,8 +168,25 @@ def test_deleting_every_edge_returns_every_class_to_the_shared_empty_set():
     assert eng.fix_iterations_total > 0
     for h in list(g.edges()):
         g.delete(h.lo, h.hi)
-    assert all(cls is NO_NEIGHBORS for classes in eng.nstar for cls in classes)
+    assert all(cls is NO_NEIGHBORS for classes in eng.nstar for cls in classes[1:])
+    # length 0 is the graph's own neighbour view, now empty
+    assert all(
+        classes[0] == g._adj[v].keys() and not classes[0] and not isinstance(classes[0], set)
+        for v, classes in enumerate(eng.nstar)
+    )
     assert eng.phi == 0
+    assert verify.check_tuple_state(g, eng).passed
+
+
+def test_length_zero_class_is_the_graphs_neighbor_view():
+    g, eng = make_engine("det-vc", 200, 32, seed=5)
+    for ev in generate(TraceSpec(200, 32, 3000, 11, "conflict-heavy")):
+        g.apply(ev)
+    assert any(g._adj[v] for v in range(200)) and eng.fix_iterations_total > 0
+    for v, classes in enumerate(eng.nstar):
+        assert not isinstance(classes[0], set)
+        if g._adj[v]:
+            assert classes[0] == g._adj[v].keys()
     assert verify.check_tuple_state(g, eng).passed
 
 

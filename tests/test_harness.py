@@ -11,9 +11,12 @@ import pytest
 
 from colorbench import (
     DELTA_MIN,
+    DuplicateEdge,
     DynamicGraph,
     GreedyVertexColoring,
     InvalidSpec,
+    MissingEdge,
+    SelfLoop,
     TraceParseError,
     UnknownVertex,
 )
@@ -182,6 +185,21 @@ def test_run_rejects_an_unknown_vertex_before_any_output(bad):
             events, "rand-vc", 4, 3, audit_every=1, metrics_out=metrics, audit_out=audits
         )
     assert metrics.getvalue() == "" and audits.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("+ 0 1", DuplicateEdge, r"edge \(0, 1\) already present"),
+        ("+ 3 3", SelfLoop, "self-loop at vertex 3"),
+        ("- 0 3", MissingEdge, r"edge \(0, 3\) not present"),
+    ],
+)
+def test_run_names_the_update_the_graph_refuses(bad, error, message):
+    events, _ = parse_trace(f"+ 0 1\n+ 1 2\n{bad}\n+ 0 2\n")
+    with pytest.raises(error, match=rf"^update 3: {message}$") as exc:
+        harness.run(events, "det-vc", 4, 3)
+    assert exc.value.update == 3
 
 
 @pytest.mark.parametrize("engine", harness.ENGINES)
@@ -454,4 +472,51 @@ def test_cli_unopenable_output_leaves_no_file(tmp_path, bad):
     for flag, path in outputs.items():
         argv += [flag, str(path)]
     assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize(
+    "delta, bad_line, message",
+    [
+        (3, "+ 0 1", "line 6: edge (0, 1) already present"),
+        (3, "+ 3 3", "line 6: self-loop at vertex 3"),
+        (3, "- 0 3", "line 6: edge (0, 3) not present"),
+        (1, "+ 1 3", "line 6: insert (1, 3) exceeds degree bound 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_names_the_line_of_a_refused_update_and_leaves_no_output(
+    tmp_path, capsys, command, delta, bad_line, message
+):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"# n=4 delta={delta}\n+ 0 1\n\n# churn\n+ 2 3\n{bad_line}\n+ 0 2\n")
+    argv = [command, "--trace", str(trace)]
+    if command == "run":
+        argv += ["--engine", "rand-vc", "--audit-every", "1",
+                 "--metrics-out", str(tmp_path / "m.csv"), "--audit-out", str(tmp_path / "a.jsonl")]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--engine", "det-vc", "--adaptive"], "det-vc needs a fixed degree bound"),
+        (["--engine", "rand-vc", "--beta", "1.5"], "growth base 1.5 below minimum 2"),
+        (["--engine", "rand-vc", "--beta", "nan"], "growth base nan below minimum 2"),
+        (["--engine", "rand-vc", "--delta", "-3"], "delta must be nonnegative, got -3"),
+        (["--engine", "rand-vc", "--n", "-2"], "n must be nonnegative, got -2"),
+        (["--engine", "rand-vc", "--audit-every", "-1"], "audit-every must be nonnegative, got -1"),
+    ],
+)
+def test_cli_usage_error_exits_two_and_leaves_no_output(tmp_path, capsys, flags, message):
+    trace = tmp_path / "t.trace"
+    trace.write_text("# n=4 delta=3\n")
+    argv = ["run", "--trace", str(trace), *flags,
+            "--metrics-out", str(tmp_path / "m.csv"), "--audit-out", str(tmp_path / "a.jsonl")]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
     assert list(tmp_path.iterdir()) == [trace]

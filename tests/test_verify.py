@@ -43,8 +43,11 @@ def test_tuple_auditor_flags_corrupted_set():
     for ev in generate(TraceSpec(40, 16, 800, 3, "uniform-random")):
         g.apply(ev)
     assert verify.check_tuple_state(g, eng).passed
-    victim = next(v for v in range(40) if eng.nstar[v][0])
-    eng.nstar[victim][0].pop()
+    # length 0 is the graph's adjacency; corrupt a class the engine owns
+    victim, j = next(
+        (v, j) for v in range(40) for j in range(1, eng.params.levels + 1) if eng.nstar[v][j]
+    )
+    eng.nstar[victim][j].pop()
     report = verify.check_tuple_state(g, eng)
     assert not report.passed
     assert any(v[0] in ("prefix-set", "potential") for v in report.violations)
