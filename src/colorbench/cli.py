@@ -65,11 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _header_int(meta, key: str) -> int:
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise InvalidSpec(f"trace header {key}={meta[key]} is not an integer") from None
+
+
 def _resolve_shape(args, meta) -> tuple[int, Optional[int], int]:
     """Merge --n/--delta/--adaptive with any trace header metadata."""
     n = args.n
     if n is None and "n" in meta:
-        n = int(meta["n"])
+        n = _header_int(meta, "n")
     if n is None:
         raise InvalidSpec("vertex count unknown: pass --n or use a trace header")
     if args.adaptive:
@@ -79,7 +86,7 @@ def _resolve_shape(args, meta) -> tuple[int, Optional[int], int]:
     elif meta.get("delta") == "adaptive":
         delta = None
     elif "delta" in meta:
-        delta = int(meta["delta"])
+        delta = _header_int(meta, "delta")
     else:
         raise InvalidSpec("degree bound unknown: pass --delta or --adaptive")
     for name, value in (("n", n), ("delta", delta), ("audit-every", args.audit_every)):

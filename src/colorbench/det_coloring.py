@@ -147,11 +147,11 @@ class TupleVertexColoring:
         "fix_iterations", "coords_rewritten", "phi_before", "phi_after", "cells_touched"
     )
 
-    def __init__(self, graph: DynamicGraph, params: DetParams | None = None):
+    def __init__(self, graph: DynamicGraph):
         if graph.max_degree is None:
             raise ValueError("tuple coloring needs a fixed degree bound")
         self.graph = graph
-        self.params = params if params is not None else DetParams.compute(graph.max_degree)
+        self.params = DetParams.compute(graph.max_degree)
         n = graph.n
         L = self.params.levels
         self.coords: List[List[int]] = _start_coords(n, self.params.radix, L)
@@ -209,10 +209,10 @@ class TupleVertexColoring:
             if not self._inq[x]:
                 self._inq[x] = 1
                 self._queue.append(x)
-        events = self.fix_invariant()
+        repairs, rewritten = self.fix_invariant()
         return {
-            "fix_iterations": len(events),
-            "coords_rewritten": sum(len(old) - (k - 1) for _, k, old, _ in events),
+            "fix_iterations": repairs,
+            "coords_rewritten": rewritten,
             "phi_before": phi_before,
             "phi_after": self.phi,
             "cells_touched": self.cells - c0,
@@ -247,25 +247,23 @@ class TupleVertexColoring:
                 return j
         return 0
 
-    def fix_invariant(self) -> List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]:
+    def fix_invariant(self) -> Tuple[int, int]:
         """Repair every queued violator; FIFO, rechecking on pop.
 
-        Returns one (vertex, k, old tuple, new tuple) event per repair
-        iteration, k being the smallest violated prefix length.
+        Returns (repair iterations, coordinates rewritten); an iteration at
+        smallest violated prefix length k rewrites coordinates k..L.
         """
-        events: List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]] = []
+        repairs = rewritten = 0
         q = self._queue
         while q:
             x = q.popleft()
             self._inq[x] = 0
             k = self._violating_index(x)
-            if not k:
-                continue
-            old = tuple(self.coords[x])
-            self._fix_vertex(x, k)
-            events.append((x, k, old, tuple(self.coords[x])))
-        self.fix_iterations_total += len(events)
-        return events
+            if k:
+                rewritten += self._fix_vertex(x, k)
+                repairs += 1
+        self.fix_iterations_total += repairs
+        return repairs, rewritten
 
     def _fix_vertex(self, x: int, k: int) -> int:
         """One repair iteration: rewrite coordinates k..L of x's color."""

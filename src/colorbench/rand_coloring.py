@@ -53,7 +53,6 @@ class RandVertexColoring:
         adaptive: bool = False,
     ):
         self.graph = graph
-        self.seed = seed
         self.rng = random.Random(seed)
         self.adaptive = adaptive
         n = graph.n

@@ -174,12 +174,12 @@ def rebuild_upper_color_counts(
     return fresh
 
 
-def check_tuple_invariant(graph: DynamicGraph, engine) -> AuditReport:
+def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, List[List[int]]]:
     """Per-level class-size bound via recount against the threshold table.
 
-    Class sizes are recounted from colors alone (each edge classified once);
-    this is the fast per-checkpoint audit. ``check_tuple_state`` additionally
-    rebuilds the stored sets themselves.
+    Class sizes are recounted from colors alone, each edge classified once:
+    ``counts[v][j]`` neighbors of v share its length-j prefix. The counts are
+    returned too, for ``check_tuple_state`` to reuse.
     """
     bad: List[tuple] = []
     p = engine.params
@@ -202,41 +202,35 @@ def check_tuple_invariant(graph: DynamicGraph, engine) -> AuditReport:
         for j in range(L + 1):
             if counts[v][j] > allowed[j]:
                 bad.append(("degree-bound", v, j, (counts[v][j], allowed[j])))
-    return AuditReport.from_violations(bad)
+    return AuditReport.from_violations(bad), counts
 
 
-def check_tuple_state(graph: DynamicGraph, engine) -> AuditReport:
-    """Rebuild all prefix-class sets from colors; verify counters, nesting,
-    the per-level degree bound, and the stored potential."""
-    bad: List[tuple] = []
+def check_tuple_state(
+    graph: DynamicGraph,
+    engine,
+    recount: Optional[Tuple[AuditReport, List[List[int]]]] = None,
+) -> AuditReport:
+    """Check stored prefix classes, coordinates, phi and scratch against the
+    class sizes of ``recount``, a ``check_tuple_invariant`` result for the same
+    state (recounted if not given). A set of the recounted size whose members
+    are all neighbors sharing v's length-j prefix is the class rebuilt from colors."""
+    report, counts = recount or check_tuple_invariant(graph, engine)
+    bad = list(report.violations)
     p = engine.params
     coords = engine.coords
-    L = p.levels
-    phi = 0
     for v in range(graph.n):
         cv = coords[v]
-        fresh: List[Set[int]] = [set() for _ in range(L + 1)]
-        for u in graph.neighbors(v):
-            cu = coords[u]
-            i = 0
-            while i < L and cu[i] == cv[i]:
-                i += 1
-            for j in range(i + 1):
-                fresh[j].add(u)
-        for j in range(L + 1):
-            stored = engine.nstar[v][j]
-            if stored != fresh[j]:
-                bad.append(("prefix-set", v, j, (sorted(stored), sorted(fresh[j]))))
-            if j and not fresh[j] <= fresh[j - 1]:
-                bad.append(("nesting", v, j, None))
-            if len(fresh[j]) > p.max_allowed[j]:
-                bad.append(("degree-bound", v, j, (len(fresh[j]), p.max_allowed[j])))
-            phi += len(fresh[j])
+        adj_v = graph._adj[v]
+        for j, (stored, size) in enumerate(zip(engine.nstar[v], counts[v])):
+            if len(stored) != size or (
+                size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
+            ):
+                bad.append(("prefix-set", v, j, (sorted(stored), size)))
         if any(not 1 <= c <= p.radix for c in cv):
             bad.append(("coordinate-range", v, tuple(cv), p.radix))
+    phi = sum(map(sum, counts))
     if phi != engine.phi:
         bad.append(("potential", None, engine.phi, phi))
     if any(engine.scratch):
         bad.append(("scratch-dirty", None, engine.scratch, None))
     return AuditReport.from_violations(bad)
-

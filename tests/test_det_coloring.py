@@ -119,10 +119,10 @@ def test_insert_identical_tuples_triggers_repair():
     assert verify.check_tuple_state(g, eng).passed
 
 
-def test_repair_events_name_vertex_index_and_tuples():
+def test_repair_counts_iterations_and_rewritten_coordinates():
     g = new_graph(4, 16)
     eng = TupleVertexColoring(g)
-    assert eng.fix_invariant() == []  # nothing queued
+    assert eng.fix_invariant() == (0, 0)  # nothing queued
     # Wire one identical-tuple edge by hand, then repair via the public op.
     g.attach(None)
     g.insert(2, 3)
@@ -136,15 +136,20 @@ def test_repair_events_name_vertex_index_and_tuples():
     for x in (2, 3):
         eng._queue.append(x)
         eng._inq[x] = 1
-    events = eng.fix_invariant()
-    assert len(events) == 1
-    x, k, old, new = events[0]
-    assert x == 2 and old == (1,) * L
+    repairs, rewritten = eng.fix_invariant()
+    assert repairs == 1
+    # vertex 2 is repaired; vertex 3 keeps its tuple
+    old = [1] * L
+    assert eng.coords[3] == old and eng.coords[2] != old
     # smallest index whose threshold a single shared neighbor breaks
-    assert k == next(j for j in range(1, L + 1) if eng.params.max_allowed[j] < 1)
+    k = next(j for j in range(1, L + 1) if eng.params.max_allowed[j] < 1)
+    new = eng.coords[2]
     assert new[: k - 1] == old[: k - 1] and new[k - 1] != old[k - 1]
+    assert rewritten == L - k + 1
+    # the shared prefix is now exactly k - 1 long
+    assert 3 in eng.nstar[2][k - 1] and 3 not in eng.nstar[2][k]
     assert verify.check_tuple_state(g, eng).passed
-    assert eng.fix_invariant() == []
+    assert eng.fix_invariant() == (0, 0)
 
 
 def test_delete_updates_every_shared_prefix_level():

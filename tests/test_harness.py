@@ -276,6 +276,38 @@ def test_deep_rand_vc_audit_recounts_the_bands_once(monkeypatch):
     assert len(lists.violations) > len(bands.violations)
 
 
+def test_deep_det_vc_audit_recounts_the_prefix_classes_once(monkeypatch):
+    g, eng = harness.make_engine("det-vc", 40, 16)
+    for ev in generate(TraceSpec(40, 16, 800, 3, "uniform-random")):
+        g.apply(ev)
+    v = next(v for v in range(40) if eng.nstar[v][1])
+    eng.nstar[v][1].pop()  # a stored class loses a member
+    a = next(a for a in range(40) if g._adj[a])
+    b = next(iter(g._adj[a]))
+    eng.coords[b] = list(eng.coords[a])  # and an edge breaks the last bound
+    recount = verify.check_tuple_invariant
+    calls = []
+
+    def counted(graph, engine):
+        calls.append(1)
+        return recount(graph, engine)
+
+    monkeypatch.setattr(verify, "check_tuple_invariant", counted)
+    reports = dict(harness.audit_engine("det-vc", g, eng, deep=True))
+    assert len(calls) == 1
+    assert list(reports) == ["proper-vertex", "tuple-invariant", "tuple-state"]
+    # The state report still holds the bound violations, and only it holds
+    # the class violations.
+    monkeypatch.undo()
+    bounds, _ = verify.check_tuple_invariant(g, eng)
+    assert reports["tuple-invariant"].violations == bounds.violations
+    state = verify.check_tuple_state(g, eng)
+    assert reports["tuple-state"].violations == state.violations
+    assert bounds.violations
+    assert state.violations[: len(bounds.violations)] == bounds.violations
+    assert any(x[0] == "prefix-set" for x in state.violations)
+
+
 RECEIPT_CASES = [
     ("rand-vc", 16),
     ("rand-vc", None),
@@ -516,6 +548,30 @@ def test_cli_usage_error_exits_two_and_leaves_no_output(tmp_path, capsys, flags,
     trace.write_text("# n=4 delta=3\n")
     argv = ["run", "--trace", str(trace), *flags,
             "--metrics-out", str(tmp_path / "m.csv"), "--audit-out", str(tmp_path / "a.jsonl")]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# n=four delta=3", "trace header n=four is not an integer"),
+        ("# n=4 delta=x", "trace header delta=x is not an integer"),
+        ("# n=4 delta=3.5", "trace header delta=3.5 is not an integer"),
+    ],
+)
+def test_cli_non_integer_header_exits_two_and_leaves_no_output(
+    tmp_path, capsys, command, header, message
+):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"{header}\n+ 0 1\n")
+    argv = [command, "--trace", str(trace)]
+    if command == "run":
+        argv += ["--engine", "rand-vc",
+                 "--metrics-out", str(tmp_path / "m.csv"), "--audit-out", str(tmp_path / "a.jsonl")]
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.err == f"error: {message}\n" and out.out == ""

@@ -17,3 +17,19 @@ def test_no_assert_statements_under_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracles_import_nothing_from_the_package_but_the_graph():
+    # verify.py recomputes from adjacency and colors; reading engine code
+    # would let an engine bug hide in its own oracle.
+    path = SRC / "colorbench" / "verify.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.append("." * node.level + (node.module or ""))
+            elif node.module.split(".")[0] == "colorbench":
+                imported.append(node.module)
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "colorbench"]
+    assert imported == [".graph"]
