@@ -326,14 +326,16 @@ class EdgeColoring:
     # -- structural self-check ------------------------------------------------------
 
     def self_check(self) -> None:
-        """Rebuild every tree from the occupancy maps and compare.
+        """Check every occupancy map and tree against the held colors.
 
-        Raises InternalInvariantViolation naming the first vertex whose
+        Each internal node is compared with the sum of its two children; with
+        the leaf row equal to the held colors, that is the tree rebuilt from
+        them. Raises InternalInvariantViolation naming the first vertex whose
         occupancy map or tree disagrees.
         """
-        degree = self.graph.degree
+        adj = self.graph._adj
         for v, (t, holds) in enumerate(zip(self.tree, self.held)):
-            problem = _tree_problem(v, t, holds, degree(v))
+            problem = _tree_problem(v, t, holds, len(adj[v]))
             if problem:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")
 
@@ -354,13 +356,13 @@ def _tree_problem(
         if not 1 <= c <= cap:
             return f"color {c} outside its tree's range [1, {cap}]"
         bits[c - 1] = 1
-    row = node[cap:]
-    if row != bits:
+    if node[cap:] != bits:
         return "leaf row differs from the held colors"
-    width = cap
-    while width > 1:
-        row = list(map(add, row[0::2], row[1::2]))
-        width >>= 1
-        if node[width : 2 * width] != row:
-            return f"row of {width} nodes is not the sum of the row below"
+    # sums[i - 1] is the sum of node i's children, 2i and 2i + 1
+    sums = list(map(add, node[2::2], node[3::2]))
+    if node[1:cap] != sums:
+        width = cap >> 1
+        while node[width : 2 * width] == sums[width - 1 : 2 * width - 1]:
+            width >>= 1
+        return f"row of {width} nodes is not the sum of the row below"
     return ""

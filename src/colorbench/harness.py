@@ -262,8 +262,10 @@ def audit_engine(
     """Full oracle audit appropriate to the engine; list of (check, report).
 
     The default audit recomputes properness, palette bounds, and the band /
-    class-size invariants from adjacency and colors. ``deep=True`` adds the
-    checks of the engine's stored structures (run at termination).
+    class-size invariants from adjacency and colors; edge-c's colors are read
+    from the graph's edge handles, one pass per vertex for both properness and
+    palette. ``deep=True`` adds the checks of the engine's stored structures
+    (run at termination).
     """
     reports: List[Tuple[str, verify.AuditReport]] = []
     if name in ("rand-vc", "greedy-baseline") or (
@@ -307,19 +309,8 @@ def audit_engine(
         if deep:
             reports.append(("tuple-state", verify.check_tuple_state(graph, engine, recount)))
     elif name == "edge-c":
-        colors = engine.edge_colors()
-        reports.append(("proper-edge", verify.check_proper_edge(graph, colors)))
-        bad = []
-        degree = graph.degree
-        if engine.adaptive:
-            for (u, v), c in colors.items():
-                if c is None or c > 2 * max(degree(u), degree(v)) - 1:
-                    bad.append(("edge-palette", (u, v), c, None))
-        else:
-            limit = engine.palette
-            for e, c in colors.items():
-                if c is None or c > limit:
-                    bad.append(("edge-palette", e, c, limit))
+        proper, bad = verify.check_edge_coloring(graph, engine.palette)
+        reports.append(("proper-edge", proper))
         if engine.invariant_failures:
             bad.append(("search-invariant", None, engine.invariant_failures, 0))
         reports.append(("edge-palette", verify.AuditReport.from_violations(bad)))

@@ -2,14 +2,16 @@
 
 Everything here recomputes from first principles (adjacency, levels,
 colors) with plain scans and no shared state with the engines, so a
-disagreement always blames the engine. These run in tests and at periodic
-harness checkpoints only; performance is a non-goal.
+disagreement always blames the engine. These run in tests, at the harness's
+periodic checkpoints and in the deep audit that ends every ``harness.run``,
+so their cost is part of every run's time, and the benchmark times them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -46,25 +48,51 @@ def check_proper_vertex(graph: DynamicGraph, chi: Sequence[int]) -> AuditReport:
     return AuditReport.from_violations(bad)
 
 
-def check_proper_edge(
-    graph: DynamicGraph, edge_colors: Dict[Tuple[int, int], int]
-) -> AuditReport:
-    """Per-vertex incident scan: no two edges at a vertex share a color."""
-    bad: List[tuple] = []
-    for v in range(graph.n):
+def check_edge_coloring(
+    graph: DynamicGraph, palette: Optional[int]
+) -> Tuple[AuditReport, List[tuple]]:
+    """Properness and palette of the edge colors held by the graph's handles.
+
+    ``palette`` is the fixed palette, or None in adaptive mode, where edge
+    (u, v) may use colors up to 2 * max(deg u, deg v) - 1. Returns the
+    properness report (``uncolored-edge`` and ``proper-edge`` violations) and
+    the ``edge-palette`` violations, each edge's under its lower endpoint.
+
+    Each vertex's colors are read once, in bulk. A vertex whose colors are
+    all set, distinct and within its bound (the palette, or 2 * deg(v) - 1,
+    which no incident edge's own bound is below) owns no violation; only a
+    vertex that fails is walked edge by edge to list them.
+    """
+    proper: List[tuple] = []
+    bad_palette: List[tuple] = []
+    color_of = attrgetter("color")
+    adj = graph._adj
+    for v, nbrs in enumerate(adj):
+        if not nbrs:
+            continue
+        colors = list(map(color_of, nbrs.values()))
+        distinct = set(colors)
+        bound = palette if palette is not None else 2 * len(colors) - 1
+        if None not in distinct and len(distinct) == len(colors) and max(distinct) <= bound:
+            continue
         seen: Dict[int, Tuple[int, int]] = {}
-        for u in graph._adj[v]:
+        for u, h in nbrs.items():
+            c = h.color
             e = (v, u) if v < u else (u, v)
-            c = edge_colors.get(e)
             if c is None:
                 if v < u:
-                    bad.append(("uncolored-edge", e, None, None))
+                    proper.append(("uncolored-edge", e, None, None))
+                    bad_palette.append(("edge-palette", e, None, palette))
                 continue
             if c in seen:
-                bad.append(("proper-edge", v, e, seen[c]))
+                proper.append(("proper-edge", v, e, seen[c]))
             else:
                 seen[c] = e
-    return AuditReport.from_violations(bad)
+            if v < u:
+                limit = palette if palette is not None else 2 * max(len(nbrs), len(adj[u])) - 1
+                if c > limit:
+                    bad_palette.append(("edge-palette", e, c, palette))
+    return AuditReport.from_violations(proper), bad_palette
 
 
 def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, List[int]]:

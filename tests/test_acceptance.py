@@ -248,7 +248,7 @@ def test_criterion_7_edge_coloring_worst_case():
     ok = worst <= bound
     ok = ok and eng.invariant_checks > 0 and eng.invariant_failures == 0
     ok = ok and eng.max_color_seen <= 2 * delta - 1
-    ok = ok and verify.check_proper_edge(g, eng.edge_colors()).passed
+    ok = ok and verify.check_edge_coloring(g, eng.palette)[0].passed
 
     # adaptive palettes under heavy deletion churn
     res = run(

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import random
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from colorbench import EdgeColoring, InternalInvariantViolation, RangeOutOfBounds, new_graph
 from colorbench import verify
-from colorbench.edge_coloring import CountingTree, _next_pow2
+from colorbench.edge_coloring import CountingTree, _next_pow2, _tree_problem
 from colorbench.harness import TraceSpec, audit_engine, generate, make_engine, run
 
 
@@ -109,7 +110,7 @@ def test_triangle_coloring_order():
     assert g.insert(0, 1).stats["color_assigned"] == 1
     assert g.insert(1, 2).stats["color_assigned"] == 2
     assert g.insert(0, 2).stats["color_assigned"] == 3
-    assert verify.check_proper_edge(g, ec.edge_colors()).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
 def test_star_fills_colors_in_order():
@@ -157,7 +158,7 @@ def test_path_delete_keeps_other_colors():
     assert after == {e: c for e, c in before.items() if e != (1, 2)}
     assert ec.tree[1].node[1] == root_before - 1
     assert ec.tree[2].node[1] == 1
-    assert verify.check_proper_edge(g, after).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
 def test_properness_and_palette_on_random_trace():
@@ -165,7 +166,7 @@ def test_properness_and_palette_on_random_trace():
     events = generate(TraceSpec(80, 16, 4000, 8, "uniform-random"))
     for ev in events:
         g.apply(ev)
-    assert verify.check_proper_edge(g, ec.edge_colors()).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
     assert ec.max_color_seen <= 2 * 16 - 1
     assert ec.invariant_failures == 0
     ec.self_check()
@@ -249,7 +250,7 @@ def test_adaptive_path_palette():
     g.insert(0, 1)
     g.insert(1, 2)
     assert all(c <= 3 for c in ec.edge_colors().values())
-    assert verify.check_proper_edge(g, ec.edge_colors()).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
 def test_adaptive_shrink_recolors_stranded_edge():
@@ -268,7 +269,7 @@ def test_adaptive_shrink_recolors_stranded_edge():
     r = g.delete(1, 3)
     assert r.stats["recolored_edges"] == 1
     assert ec.edge_colors()[(1, 4)] == 2
-    assert verify.check_proper_edge(g, ec.edge_colors()).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
     ec.self_check()
 
 
@@ -279,7 +280,7 @@ def test_adaptive_random_trace_palette_per_edge():
         g.apply(ev)
         for (u, v), c in ec.edge_colors().items():
             assert c <= 2 * max(g.degree(u), g.degree(v)) - 1
-    assert verify.check_proper_edge(g, ec.edge_colors()).passed
+    assert verify.check_edge_coloring(g, ec.palette)[0].passed
     ec.self_check()
 
 
@@ -370,6 +371,90 @@ def test_corrupted_tree_fails_the_rebuild_audit():
     reports = dict(audit_engine("edge-c", g, ec, deep=True))
     assert not reports["tree-rebuild"].passed
     assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
+
+
+def rebuilt_tree_problem(v, t, holds, degree):
+    """Reference: ``_tree_problem`` as it was when it rebuilt every row of the
+    tree from the held colors, leaves first."""
+    if len(holds) != degree:
+        return f"holds {len(holds)} colors at degree {degree}"
+    if t is None:
+        return "holds colors but has no tree" if holds else ""
+    cap, node = t.cap, t.node
+    bits = [0] * cap
+    for c, h in holds.items():
+        if h.color != c or v not in (h.lo, h.hi):
+            return f"color {c} maps to {h!r} colored {h.color}"
+        if not 1 <= c <= cap:
+            return f"color {c} outside its tree's range [1, {cap}]"
+        bits[c - 1] = 1
+    row = node[cap:]
+    if row != bits:
+        return "leaf row differs from the held colors"
+    width = cap
+    while width > 1:
+        row = list(map(add, row[0::2], row[1::2]))
+        width >>= 1
+        if node[width : 2 * width] != row:
+            return f"row of {width} nodes is not the sum of the row below"
+    return ""
+
+
+def cap_8_star():
+    """Vertex 0 holds colors 1..5 in a tree of capacity 8."""
+    g = new_graph(6, 5)
+    ec = EdgeColoring(g)
+    for w in range(1, 6):
+        g.insert(0, w)
+    assert ec.tree[0].cap == 8
+    return g, ec
+
+
+def _bump(*indices):
+    def corrupt(g, ec):
+        for i in indices:
+            ec.tree[0].node[i] += 1
+    return corrupt
+
+
+def _color_outside_the_tree(g, ec):
+    h = ec.held[0].pop(5)
+    h.color = 9
+    ec.held[0][9] = h
+
+
+def _color_unlike_its_key(g, ec):
+    ec.held[0][3].color = 4
+
+
+TREE_CORRUPTIONS = {
+    "root": _bump(1),
+    "row-of-2": _bump(3),
+    "row-of-4": _bump(6),
+    "leaf": _bump(8 + 6),
+    "rows-of-4-and-1": _bump(5, 1),
+    "leaf-and-row-of-2": _bump(8, 2),
+    "color-outside-the-tree": _color_outside_the_tree,
+    "color-unlike-its-key": _color_unlike_its_key,
+}
+
+
+@pytest.mark.parametrize("corrupt", TREE_CORRUPTIONS.values(), ids=TREE_CORRUPTIONS.keys())
+def test_self_check_names_what_the_row_rebuild_names(corrupt):
+    g, ec = cap_8_star()
+    corrupt(g, ec)
+    problems = [
+        _tree_problem(v, t, holds, g.degree(v))
+        for v, (t, holds) in enumerate(zip(ec.tree, ec.held))
+    ]
+    assert problems == [
+        rebuilt_tree_problem(v, t, holds, g.degree(v))
+        for v, (t, holds) in enumerate(zip(ec.tree, ec.held))
+    ]
+    assert problems[0]
+    with pytest.raises(InternalInvariantViolation) as exc:
+        ec.self_check()
+    assert str(exc.value) == f"vertex 0: {problems[0]}"
 
 
 def test_corrupted_tree_fails_the_rebuild_audit_under_python_O(run_optimized):

@@ -417,6 +417,34 @@ def test_csv_columns_and_totals_match_the_golden(engine):
     assert list(res.totals.items()) == list(TOTALS_GOLDEN[engine].items())
 
 
+# sha256 of the audit log of each engine's run on the CSV-golden trace above,
+# and of edge-c's on an adaptive sliding-window trace (n=60, 4000 updates,
+# trace seed 5, engine seed 3, audits every 500 updates). A clean log still
+# pins which checks run at each checkpoint, in which order, and their lines.
+AUDIT_LOG_GOLDEN = {
+    ("rand-vc", 32): "e81055b7b9b204a9ea601e6b84a63c0373add3c78915ebd0aa06568122d2bec6",
+    ("det-vc", 32): "4ee7a2e2ae3af0ab5b01110bf1c0be1494074be09e784af702e80d20e8fea892",
+    ("edge-c", 32): "db6a285f3e8d3c48932f60425b9e0ed8d1d0f4e90a058159f51aea9977af6bec",
+    ("greedy-baseline", 32): "e723be8541617029c8f1d9f94ce9fe8809f2bffee0a39809128f6139b329e8e2",
+    ("edge-c", None): "9f59f6d30a9fb9b5fa90d185ad0496bce921ce111cdbd64d1d4f948087dc6503",
+}
+
+
+@pytest.mark.parametrize("engine, delta", sorted(AUDIT_LOG_GOLDEN, key=str))
+def test_audit_log_matches_the_golden(engine, delta):
+    if delta is None:
+        n, spec = 60, TraceSpec(60, None, 4000, 5, "sliding-window")
+    else:
+        n, spec = 200, TraceSpec(200, 32, 4000, 5, "conflict-heavy")
+    out = io.StringIO()
+    res = harness.run(
+        generate(spec), engine, n, delta, seed=3, beta=2, audit_every=500, audit_out=out
+    )
+    assert res.exit_code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == AUDIT_LOG_GOLDEN[(engine, delta)]
+
+
 def test_compare_table_rows():
     events = generate(TraceSpec(30, 16, 800, 8, "conflict-heavy"))
     rows, code = harness.compare(

@@ -8,7 +8,7 @@ import pytest
 
 from colorbench import new_graph
 from colorbench import verify
-from colorbench.harness import TraceSpec, generate, make_engine
+from colorbench.harness import TraceSpec, audit_engine, generate, make_engine
 
 
 def test_proper_vertex_flags_monochromatic_edge():
@@ -24,10 +24,14 @@ def test_proper_edge_flags_shared_color_and_uncolored():
     g = new_graph(3, 2)
     g.insert(0, 1)
     g.insert(1, 2)
-    assert verify.check_proper_edge(g, {(0, 1): 1, (1, 2): 2}).passed
-    bad = verify.check_proper_edge(g, {(0, 1): 1, (1, 2): 1})
+    a, b = g.handle(0, 1), g.handle(1, 2)
+    a.color, b.color = 1, 2
+    assert verify.check_edge_coloring(g, 3)[0].passed
+    b.color = 1
+    bad, _ = verify.check_edge_coloring(g, 3)
     assert not bad.passed
-    missing = verify.check_proper_edge(g, {(0, 1): 1})
+    b.color = None
+    missing, _ = verify.check_edge_coloring(g, 3)
     assert not missing.passed
     assert missing.violations[0][0] == "uncolored-edge"
 
@@ -212,6 +216,120 @@ def test_tuple_state_reports_a_prefix_class_with_its_recounted_size():
     eng.coords[b] = list(eng.coords[a])
     report = verify.check_tuple_state(g, eng)
     assert ("degree-bound", a, eng.params.levels, (1, 0)) in report.violations
+
+
+def dict_edge_audit(graph, engine):
+    """Reference: edge-c's audit as it was, on the ``edge_colors()`` snapshot:
+    the dict-based properness scan, then ``audit_engine``'s palette loop.
+    Returns the ``proper-edge`` and ``edge-palette`` violations."""
+    colors = engine.edge_colors()
+    proper: List[tuple] = []
+    for v in range(graph.n):
+        seen = {}
+        for u in graph._adj[v]:
+            e = (v, u) if v < u else (u, v)
+            c = colors.get(e)
+            if c is None:
+                if v < u:
+                    proper.append(("uncolored-edge", e, None, None))
+                continue
+            if c in seen:
+                proper.append(("proper-edge", v, e, seen[c]))
+            else:
+                seen[c] = e
+    bad: List[tuple] = []
+    degree = graph.degree
+    if engine.adaptive:
+        for (u, v), c in colors.items():
+            if c is None or c > 2 * max(degree(u), degree(v)) - 1:
+                bad.append(("edge-palette", (u, v), c, None))
+    else:
+        limit = engine.palette
+        for e, c in colors.items():
+            if c is None or c > limit:
+                bad.append(("edge-palette", e, c, limit))
+    if engine.invariant_failures:
+        bad.append(("search-invariant", None, engine.invariant_failures, 0))
+    return proper, bad
+
+
+def _edge_state(seed, delta, n=40, ops=1500):
+    mode = "uniform-random" if delta else "sliding-window"
+    g, eng = make_engine("edge-c", n, delta)
+    for ev in generate(TraceSpec(n, delta, ops, seed, mode)):
+        g.apply(ev)
+    return g, eng
+
+
+def _assert_edge_audit_matches_the_reference(g, eng):
+    reports = audit_engine("edge-c", g, eng)
+    assert [check for check, _ in reports] == ["proper-edge", "edge-palette"]
+    proper, bad = dict_edge_audit(g, eng)
+    assert reports[0][1].violations == proper
+    assert reports[1][1].violations == bad
+    assert reports[0][1].passed == (not proper)
+    assert reports[1][1].passed == (not bad)
+    return proper, bad
+
+
+def _share_a_color(g, eng, rng):
+    v = rng.choice([v for v in range(g.n) if len(g._adj[v]) >= 2])
+    a, b = rng.sample(list(g._adj[v].values()), 2)
+    a.color = b.color
+
+
+def _uncolor(g, eng, rng):
+    rng.choice(list(g.edges())).color = None
+
+
+def _above_the_palette(g, eng, rng):
+    h = rng.choice(list(g.edges()))
+    if eng.adaptive:
+        h.color = 2 * max(len(g._adj[h.lo]), len(g._adj[h.hi]))
+    else:
+        h.color = eng.palette + 1
+
+
+def _search_failure(g, eng, rng):
+    eng.invariant_failures += rng.randrange(1, 4)
+
+
+EDGE_CORRUPTIONS = [_share_a_color, _uncolor, _above_the_palette, _search_failure]
+
+
+@pytest.mark.parametrize("delta", [8, None], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_edge_audit_agrees_with_the_dict_audit_on_clean_states(seed, delta):
+    g, eng = _edge_state(seed, delta)
+    assert _assert_edge_audit_matches_the_reference(g, eng) == ([], [])
+
+
+@pytest.mark.parametrize("delta", [8, None], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("corrupt", EDGE_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_edge_audit_agrees_with_the_dict_audit_on_corrupted_states(corrupt, delta):
+    for seed in range(4):
+        g, eng = _edge_state(seed, delta)
+        corrupt(g, eng, random.Random(seed))
+        proper, bad = _assert_edge_audit_matches_the_reference(g, eng)
+        assert proper or bad
+
+
+@pytest.mark.parametrize("low_end", ["lo", "hi"])
+def test_adaptive_edge_bound_is_the_larger_endpoints(low_end):
+    # Edge (u, w) with deg(u) = 1 and deg(w) = 4 may take colors up to 7: its
+    # color 5 fails u's own bound 2 * 1 - 1 but no edge's, and 8 fails both.
+    u, w = (0, 1) if low_end == "lo" else (4, 0)
+    others = [x for x in range(5) if x not in (u, w)]
+    g, eng = make_engine("edge-c", 5, None)
+    for x in others:
+        g.insert(w, x)
+    g.insert(u, w)
+    h = g.handle(u, w)
+    h.color = 5
+    assert _assert_edge_audit_matches_the_reference(g, eng) == ([], [])
+    h.color = 8
+    _, bad = _assert_edge_audit_matches_the_reference(g, eng)
+    assert bad == [("edge-palette", (h.lo, h.hi), 8, None)]
 
 
 def test_audit_report_json_lines():
