@@ -265,7 +265,8 @@ def audit_engine(
     class-size invariants from adjacency and colors; edge-c's colors are read
     from the graph's edge handles, one pass per vertex for both properness and
     palette. ``deep=True`` adds the checks of the engine's stored structures
-    (run at termination).
+    (run at termination); rand-vc's color tables are checked against fresh
+    ones that the band recount builds in the same pass.
     """
     reports: List[Tuple[str, verify.AuditReport]] = []
     if name in ("rand-vc", "greedy-baseline") or (
@@ -284,22 +285,21 @@ def audit_engine(
             if c > limit
         ]
         reports.append(("palette", verify.AuditReport.from_violations(bad)))
-        if rand:
-            recount = verify.recount_band_invariants(graph, engine.hier)
-            reports.append(("hierarchy-bands", recount[0]))
-            if deep:
-                reports.append(
-                    ("hierarchy-lists", verify.check_hierarchy(graph, engine.hier, recount))
-                )
-                fresh = verify.rebuild_upper_color_counts(graph, engine.hier, chi)
-                mu_bad = [
-                    ("upper-counts", v, engine.mu[v], fresh[v])
-                    for v in range(graph.n)
-                    if engine.mu[v] != fresh[v]
-                ]
-                reports.append(
-                    ("upper-counts", verify.AuditReport.from_violations(mu_bad))
-                )
+        if rand and not deep:
+            bands, _ = verify.recount_band_invariants(graph, engine.hier)
+            reports.append(("hierarchy-bands", bands))
+        elif rand:
+            hier = engine.hier
+            bands, below_count, fresh = verify.recount_band_invariants(graph, hier, chi)
+            reports.append(("hierarchy-bands", bands))
+            lists = verify.check_hierarchy(graph, hier, (bands, below_count))
+            reports.append(("hierarchy-lists", lists))
+            mu_bad = [
+                ("upper-counts", v, engine.mu[v], fresh[v])
+                for v in range(graph.n)
+                if engine.mu[v] != fresh[v]
+            ]
+            reports.append(("upper-counts", verify.AuditReport.from_violations(mu_bad)))
     elif name == "det-vc":
         reports.append(
             ("proper-vertex", verify.check_proper_vertex(graph, engine.colors()))

@@ -29,13 +29,24 @@ Memory grows with the occupied (vertex, level) classes, not with n*(L+1):
 lower neighbor, and ``same[v]`` maps a level to its set only once a neighbor
 at that level arrives. Every write goes through ``_home``, which creates the
 set.
+
+A vertex leaves level 4 only with more than beta**4 neighbors at or below
+its level, so when beta**4 is at least the degree bound (n - 1 in adaptive
+mode) no vertex ever moves: every below set stays empty and the level-4 set
+would be the vertex's whole adjacency. A partition handed the graph's
+adjacency decides this once, at construction, and is then ``dormant``: it
+stores no ``same`` sets, ``same_list(v, 4)`` is the live keys view of the
+graph's adjacency dict for v (insertion-ordered in the same way), and an
+update only charges the two cells its link or unlink would have cost, so
+cell counts, draws and colors are those of the stored sets. The randomized
+engine at the default beta=21 is dormant below delta = 194,481.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation, InvalidBase
 from .graph import DELETE, INSERT, EdgeHandle
@@ -55,10 +66,18 @@ class LevelPartition:
 
     ``beta`` may be any real >= 2; integral values use exact integer powers
     for all band comparisons. Coloring correctness never depends on beta,
-    only the amortized accounting does.
+    only the amortized accounting does. ``adjacency`` is the graph's list
+    of per-vertex neighbor dicts, which a dormant partition reads in place
+    of stored level-4 sets; without it every set is stored.
     """
 
-    def __init__(self, n: int, max_degree: int, beta: float = 21.0):
+    def __init__(
+        self,
+        n: int,
+        max_degree: int,
+        beta: float = 21.0,
+        adjacency: Optional[Sequence[Mapping[int, object]]] = None,
+    ):
         if not beta >= 2:  # NaN too
             raise InvalidBase(f"growth base {beta} below minimum 2")
         if max_degree < 1:
@@ -78,7 +97,11 @@ class LevelPartition:
 
         self.level = [BOTTOM_LEVEL] * n
         self.below: List[Neighbors] = [EMPTY_NEIGHBORS] * n
-        self.same: List[Dict[int, Neighbors]] = [{} for _ in range(n)]
+        # No degree can exceed beta**4, so no vertex ever leaves level 4 and
+        # its level-4 set would be its whole adjacency: read the graph's.
+        self.dormant = adjacency is not None and self.pow[BOTTOM_LEVEL] >= max_degree
+        self._adj = adjacency
+        self.same: List[Dict[int, Neighbors]] = [] if self.dormant else [{} for _ in range(n)]
         self._q2: deque[int] = deque()
         self._q1: deque[int] = deque()
         self._in_q2 = bytearray(n)
@@ -91,7 +114,9 @@ class LevelPartition:
     def below_degree(self, v: int) -> int:
         return len(self.below[v])
 
-    def same_list(self, v: int, j: int) -> Neighbors:
+    def same_list(self, v: int, j: int) -> Collection[int]:
+        if self.dormant:
+            return self._adj[v].keys() if j == BOTTOM_LEVEL else EMPTY_NEIGHBORS
         return self.same[v].get(j, EMPTY_NEIGHBORS)
 
     # -- invariant predicates --------------------------------------------------
@@ -120,6 +145,9 @@ class LevelPartition:
         Returns the level moves performed, as (vertex, old, new) triples.
         The graph adjacency must already reflect the update.
         """
+        if self.dormant:
+            self.cells_touched += 2  # the link or unlink a stored set would cost
+            return []
         if kind == INSERT:
             self._link(handle)
         elif kind == DELETE:

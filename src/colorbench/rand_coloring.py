@@ -58,7 +58,7 @@ class RandVertexColoring:
         n = graph.n
         delta_cap = graph.max_degree if graph.max_degree is not None else max(1, n - 1)
         self.palette = max(1, delta_cap) + 1
-        self.hier = LevelPartition(n, max(1, delta_cap), beta)
+        self.hier = LevelPartition(n, max(1, delta_cap), beta, graph._adj)
         self.hier.move_listener = self._on_level_move
 
         self.chi = [1] * n

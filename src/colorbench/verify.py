@@ -95,29 +95,40 @@ def check_edge_coloring(
     return AuditReport.from_violations(proper), bad_palette
 
 
-def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, List[int]]:
+def recount_band_invariants(
+    graph: DynamicGraph, part, chi: Optional[Sequence[int]] = None
+) -> tuple:
     """Both band invariants recounted from adjacency and levels alone.
 
-    Also returns the recounted below-degrees, which ``check_hierarchy``
-    reuses when handed this result.
+    Returns the report and the recounted below-degrees, which
+    ``check_hierarchy`` reuses when handed them. Given the colors ``chi``,
+    the same pass over each vertex's neighbors also rebuilds its table of
+    the colors held at its level or above, as ``rebuild_upper_color_counts``
+    does, and returns the tables third.
     """
     bad: List[tuple] = []
     level = part.level
     n = graph.n
     below_count = [0] * n
     at_level = [0] * n
-    for u in range(n):
+    upper = None if chi is None else [{} for _ in range(n)]
+    for u, nbrs in enumerate(graph._adj):
         lu = level[u]
-        for v in graph._adj[u]:
-            if u < v:
-                lv = level[v]
-                if lu < lv:
-                    below_count[v] += 1
-                elif lv < lu:
-                    below_count[u] += 1
-                else:
-                    at_level[u] += 1
-                    at_level[v] += 1
+        below = at = 0
+        for v in nbrs:
+            lv = level[v]
+            if lv < lu:
+                below += 1
+            elif lv == lu:
+                at += 1
+        below_count[u] = below
+        at_level[u] = at
+        if upper is not None:
+            table = upper[u]
+            for v in nbrs:
+                if level[v] >= lu:
+                    c = chi[v]
+                    table[c] = table.get(c, 0) + 1
     pows = part.pow
     for v in range(n):
         lv = level[v]
@@ -127,7 +138,8 @@ def recount_band_invariants(graph: DynamicGraph, part) -> Tuple[AuditReport, Lis
             bad.append(("invariant-1", v, below_count[v], pows[lv - 5]))
         elif below_count[v] + at_level[v] > pows[lv]:
             bad.append(("invariant-2", v, below_count[v] + at_level[v], pows[lv]))
-    return AuditReport.from_violations(bad), below_count
+    report = AuditReport.from_violations(bad)
+    return (report, below_count) if upper is None else (report, below_count, upper)
 
 
 def check_hierarchy(
@@ -191,7 +203,11 @@ def brute_blank_unique(
 def rebuild_upper_color_counts(
     graph: DynamicGraph, part, chi: Sequence[int]
 ) -> List[Dict[int, int]]:
-    """Fresh per-vertex multiplicity tables of colors at same-or-higher level."""
+    """Fresh per-vertex multiplicity tables of colors at same-or-higher level.
+
+    The tests' reference for the tables ``recount_band_invariants`` builds
+    in its own pass when given the colors.
+    """
     fresh: List[Dict[int, int]] = [dict() for _ in range(graph.n)]
     level = part.level
     for v in range(graph.n):

@@ -37,12 +37,10 @@ def test_empty_engine_bytes_per_vertex_do_not_grow_with_levels(name):
     assert more_bytes - fewer_bytes <= MAX_BYTES_PER_LEVEL * (many - few), measured
 
 
-def test_edge_coloring_bytes_per_edge_do_not_grow_with_delta():
-    # A sparse graph at delta=1024: a tree as wide as the palette would cost
-    # about 32 KB per touched vertex.
-    n, delta = 4000, 1024
-    events = generate(TraceSpec(n, delta, 6000, 3, "insert-heavy"))
-    graph, _ = make_engine("edge-c", n, delta)
+def replay_bytes_per_edge(name, spec):
+    """Bytes the graph and engine allocate replaying ``spec``, per final edge."""
+    events = generate(spec)
+    graph, _ = make_engine(name, spec.n, spec.delta)
     gc.collect()
     tracemalloc.start()
     try:
@@ -52,23 +50,28 @@ def test_edge_coloring_bytes_per_edge_do_not_grow_with_delta():
         used = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert used / graph.num_edges <= 1024, (used, graph.num_edges)
+    return used / graph.num_edges
+
+
+def test_edge_coloring_bytes_per_edge_do_not_grow_with_delta():
+    # A sparse graph at delta=1024: a tree as wide as the palette would cost
+    # about 32 KB per touched vertex.
+    per_edge = replay_bytes_per_edge("edge-c", TraceSpec(4000, 1024, 6000, 3, "insert-heavy"))
+    assert per_edge <= 1024, per_edge
 
 
 def test_det_vc_keeps_no_second_copy_of_the_adjacency():
     # Dense insert-heavy graph, about 16,000 edges. With its own copy of each
     # neighbour set at prefix length 0, det-vc took 316 B per edge here;
     # without it 164 B, and greedy-baseline, with no per-edge state, 142 B.
-    n, delta = 300, 128
-    events = generate(TraceSpec(n, delta, 20_000, 3, "insert-heavy"))
-    graph, _ = make_engine("det-vc", n, delta)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        for ev in events:
-            graph.apply(ev)
-        used = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert used / graph.num_edges <= 220, (used, graph.num_edges)
+    per_edge = replay_bytes_per_edge("det-vc", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
+    assert per_edge <= 220, per_edge
+
+
+def test_rand_vc_keeps_no_second_copy_of_the_adjacency_while_dormant():
+    # Sparse insert-heavy graph, about 16,000 edges on 4,000 vertices, at the
+    # default beta=21: beta**4 is far above delta, so no vertex leaves level 4.
+    # With its own copy of each neighbour set at level 4, rand-vc took 362 B
+    # per edge here; reading the graph's, 221 B, and greedy-baseline 141 B.
+    per_edge = replay_bytes_per_edge("rand-vc", TraceSpec(4000, 32, 20_000, 3, "insert-heavy"))
+    assert per_edge <= 290, per_edge

@@ -256,9 +256,9 @@ def test_deep_rand_vc_audit_recounts_the_bands_once(monkeypatch):
     recount = verify.recount_band_invariants
     calls = []
 
-    def counted(graph, part):
+    def counted(graph, part, *colors):
         calls.append(1)
-        return recount(graph, part)
+        return recount(graph, part, *colors)
 
     monkeypatch.setattr(verify, "recount_band_invariants", counted)
     reports = dict(harness.audit_engine("rand-vc", g, eng, deep=True))

@@ -411,6 +411,37 @@ def test_blank_unique_matches_brute_force_after_level_moves(cycled):
     assert unique_seen, "no vertex had a color held by exactly one lower neighbor"
 
 
+# sha256 of every receipt (its values in field order, one line each) and of
+# the final colors, with engine seed 3, on runs where beta**4 is at least the
+# degree bound, so that no vertex can leave level 4: the CSV-golden trace of
+# tests/test_harness.py at beta=21, an adaptive sliding-window run (n=60,
+# beta=21) and an adaptive conflict-heavy run at n=17, beta=2, whose bound
+# n - 1 = 16 equals beta**4. Recorded when every vertex still kept its own
+# copy of its neighbors at level 4.
+DORMANT_GOLDEN = {
+    (200, 32, "conflict-heavy", 4000, 21):
+        "e19753ccaf645ab58dc1d8912006c07b6361c28af630745ea93537fda32396aa",
+    (60, None, "sliding-window", 4000, 21):
+        "b7a16c68d273f18c5ca8c16b5ed248b77ead109885085ec5d09c79256e24111e",
+    (17, None, "conflict-heavy", 2000, 2):
+        "442788c7f9f0bf2acdaefe16bdaf4e46d0a959052b5aab6cc05aadc625607993",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DORMANT_GOLDEN, key=str))
+def test_receipts_and_colors_match_the_golden_while_no_level_can_move(case):
+    n, delta, mode, updates, beta = case
+    g, eng = make_engine("rand-vc", n, delta, seed=3, beta=beta)
+    assert eng.hier.pow[BOTTOM_LEVEL] >= (delta or n - 1)
+    rows = [
+        ",".join(map(str, g.apply(ev).stats.values()))
+        for ev in generate(TraceSpec(n, delta, updates, 5, mode))
+    ]
+    rows.append(",".join(map(str, eng.chi)))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DORMANT_GOLDEN[case]
+    assert set(eng.hier.level) == {BOTTOM_LEVEL}
+
+
 def test_same_seed_same_run():
     def run(seed):
         g, eng = make_engine("rand-vc", 60, 8, seed=seed)

@@ -7,6 +7,8 @@ refused with their own error and leave the graph and the engine exactly as
 they were. After every step the deep audit must pass.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -33,8 +35,12 @@ from colorbench.rand_coloring import RandVertexColoring
 
 # (engine, degree bound); None is adaptive mode. det-vc runs at delta = 16,
 # the smallest bound at which the tuple engine is used, not the greedy one.
+# Every machine runs at beta = 2, so rand-vc at delta = 3 can never move a
+# level (beta**4 = 16 >= delta); at delta = 20 a vertex filled past 16
+# neighbors at its level is promoted.
 CONFIGS = [
     ("rand-vc", 3),
+    ("rand-vc", 20),
     ("rand-vc", None),
     ("det-vc", 16),
     ("edge-c", 3),
@@ -44,15 +50,17 @@ CONFIGS = [
 
 
 class EngineMachine(RuleBasedStateMachine):
-    def __init__(self, name, delta):
+    def __init__(self, name, delta, tally):
         super().__init__()
         self.name = name
         self.delta = delta
+        self.tally = tally  # rand-vc's level moves and refusals, over every run
 
     @initialize(data=st.data(), seed=st.integers(0, 3))
     def build(self, data, seed):
         # at least delta + 1 vertices, so that a vertex can reach the bound
-        n = self.n = data.draw(st.integers((self.delta or 1) + 1, 20))
+        least = (self.delta or 1) + 1
+        n = self.n = data.draw(st.integers(least, max(20, least + 3)))
         self.graph, self.engine = harness.make_engine(self.name, n, self.delta, seed=seed, beta=2)
         self.edges = set()
         self.degree = [0] * n
@@ -81,14 +89,17 @@ class EngineMachine(RuleBasedStateMachine):
             colors = list(eng.edge_colors().items())
         else:
             colors = eng.colors()
-        levels = list(eng.hier.level) if isinstance(eng, RandVertexColoring) else None
-        return g.num_edges, g.seq, adjacency, colors, levels
+        hierarchy = None
+        if isinstance(eng, RandVertexColoring):
+            hierarchy = list(eng.hier.level), [list(m.items()) for m in eng.mu]
+        return g.num_edges, g.seq, adjacency, colors, hierarchy
 
     def step(self, kind, u, v):
         expected = self.refusal(kind, u, v)
         if expected is None:
             receipt = self.graph.apply(UpdateEvent(kind, u, v))
             assert tuple(receipt.stats) == self.engine.RECEIPT_FIELDS
+            self.tally["level moves"] += receipt.stats.get("level_moves", 0)
             e = (min(u, v), max(u, v))
             sign = 1 if kind == INSERT else -1
             (self.edges.add if kind == INSERT else self.edges.remove)(e)
@@ -96,6 +107,8 @@ class EngineMachine(RuleBasedStateMachine):
             self.degree[v] += sign
             return
         before = self.snapshot()
+        if before[-1] is not None and max(before[-1][0], default=4) > 4:
+            self.tally["refusals above level 4"] += 1
         try:
             self.graph.apply(UpdateEvent(kind, u, v))
         except InputError as exc:
@@ -156,7 +169,11 @@ class EngineMachine(RuleBasedStateMachine):
 
 @pytest.mark.parametrize("name, delta", CONFIGS)
 def test_refused_updates_change_nothing_and_audits_pass(name, delta):
+    tally = Counter()
     run_state_machine_as_test(
-        lambda: EngineMachine(name, delta),
+        lambda: EngineMachine(name, delta, tally),
         settings=settings(max_examples=25, stateful_step_count=40, deadline=None),
     )
+    if (name, delta) == ("rand-vc", 20):
+        # levels moved, and some refusals met a vertex above level 4
+        assert tally["level moves"] > 0 and tally["refusals above level 4"] > 0, tally

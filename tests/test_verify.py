@@ -340,3 +340,96 @@ def test_audit_report_json_lines():
     assert row["check"] == "final:proper-vertex"
     assert row["passed"] is False
     assert row["violation_count"] == 1
+
+
+# -- rand-vc's upper-color tables --------------------------------------------------
+
+
+def reference_upper_counts(graph, engine):
+    """Reference: the deep audit's upper-counts violations as they were, from
+    a second pass that rebuilds every table with ``rebuild_upper_color_counts``."""
+    fresh = verify.rebuild_upper_color_counts(graph, engine.hier, engine.chi)
+    return [
+        ("upper-counts", v, engine.mu[v], fresh[v])
+        for v in range(graph.n)
+        if engine.mu[v] != fresh[v]
+    ]
+
+
+# (delta, beta): levels move at beta=2 and delta=32; beta=21 keeps every
+# vertex at level 4; None is adaptive mode.
+RAND_CONFIGS = [(32, 2), (32, 21), (None, 2)]
+
+
+def _rand_state(seed, delta, beta, n=40, ops=1500):
+    mode = "uniform-random" if delta else "sliding-window"
+    g, eng = make_engine("rand-vc", n, delta, seed=seed, beta=beta)
+    for ev in generate(TraceSpec(n, delta, ops, seed, mode)):
+        g.apply(ev)
+    return g, eng
+
+
+def _assert_upper_counts_match_the_reference(g, eng):
+    reports = dict(audit_engine("rand-vc", g, eng, deep=True))
+    expected = reference_upper_counts(g, eng)
+    assert reports["upper-counts"].violations == expected
+    assert reports["upper-counts"].passed == (not expected)
+    return expected
+
+
+def _vertex_with_table(g, eng, rng):
+    return rng.choice([v for v in range(g.n) if eng.mu[v]])
+
+
+def _raise_a_count(g, eng, rng):
+    m = eng.mu[_vertex_with_table(g, eng, rng)]
+    m[rng.choice(list(m))] += 1
+
+
+def _drop_a_color(g, eng, rng):
+    m = eng.mu[_vertex_with_table(g, eng, rng)]
+    del m[rng.choice(list(m))]
+
+
+def _add_an_absent_color(g, eng, rng):
+    eng.mu[rng.randrange(g.n)][eng.palette + 1] = 1
+
+
+def _store_a_zero(g, eng, rng):
+    m = eng.mu[rng.randrange(g.n)]
+    m[next(c for c in range(1, eng.palette + 2) if c not in m)] = 0
+
+
+def _recolor_behind_the_tables(g, eng, rng):
+    # a vertex whose color some neighbor's table counts takes a color no
+    # neighbor holds, and no table learns of it
+    v = rng.choice([v for v in range(g.n) if g._adj[v]])
+    taken = {eng.chi[u] for u in g._adj[v]} | {eng.chi[v]}
+    eng.chi[v] = next(c for c in range(1, g.n + 2) if c not in taken)
+
+
+UPPER_CORRUPTIONS = [
+    _raise_a_count, _drop_a_color, _add_an_absent_color, _store_a_zero,
+    _recolor_behind_the_tables,
+]
+
+
+@pytest.mark.parametrize("delta, beta", RAND_CONFIGS)
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_recount_tables_equal_the_rebuild_on_clean_states(seed, delta, beta):
+    g, eng = _rand_state(seed, delta, beta)
+    if beta == 2 and delta:
+        assert len(set(eng.hier.level)) > 1  # the tables cross levels
+    _, below_count, upper = verify.recount_band_invariants(g, eng.hier, eng.chi)
+    assert upper == verify.rebuild_upper_color_counts(g, eng.hier, eng.chi) == eng.mu
+    assert below_count == verify.recount_band_invariants(g, eng.hier)[1]
+    assert _assert_upper_counts_match_the_reference(g, eng) == []
+
+
+@pytest.mark.parametrize("delta, beta", RAND_CONFIGS)
+@pytest.mark.parametrize("corrupt", UPPER_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_upper_counts_audit_agrees_with_the_rebuild_on_corrupted_states(corrupt, delta, beta):
+    for seed in range(4):
+        g, eng = _rand_state(seed, delta, beta)
+        corrupt(g, eng, random.Random(seed))
+        assert _assert_upper_counts_match_the_reference(g, eng)
