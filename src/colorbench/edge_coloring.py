@@ -1,7 +1,9 @@
 """(2*delta - 1) edge coloring with logarithmic worst-case work per update.
 
-Each vertex keeps its incident colors in an occupancy map plus an implicit
-complete binary counting tree. A vertex has no tree until its first edge; the
+A vertex's colors are kept once, on the graph's edge handles (each handle's
+``color``), and counted in an implicit complete binary counting tree per
+vertex; only adaptive mode adds a map from color to handle per vertex, for
+the deletion fixups below. A vertex has no tree until its first edge; the
 tree then covers colors [1, cap], cap being the smallest power of two that
 holds every color the vertex has held, and doubles when a larger color lands
 there. A vertex of small degree therefore keeps a small tree whatever delta
@@ -28,12 +30,13 @@ reads and writes of the search and of the add/remove walks only.
 
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
-longer admits.
+longer admits. It finds them by color in the color-to-handle map: the handles
+alone would need a scan of the endpoint's edges, more than O(log delta).
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
@@ -127,6 +130,8 @@ class EdgeColoring:
     def __init__(self, graph: DynamicGraph, adaptive: bool = False):
         self.graph = graph
         self.adaptive = adaptive
+        # color -> handle per vertex, kept in adaptive mode only: _shrink_fixups looks colors up
+        self.held: Optional[List[Dict[int, EdgeHandle]]] = None
         if not adaptive:
             if graph.max_degree is None:
                 raise ValueError("fixed-palette edge coloring needs a degree bound")
@@ -135,8 +140,8 @@ class EdgeColoring:
         else:
             self.palette = None
             self.cap = 1
+            self.held = [{} for _ in range(graph.n)]
         n = graph.n
-        self.held: List[Dict[int, EdgeHandle]] = [dict() for _ in range(n)]
         self.tree: List[Optional[CountingTree]] = [None] * n
 
         self.invariant_checks = 0
@@ -250,8 +255,8 @@ class EdgeColoring:
                 f"color {c} for ({u}, {v}) above deg(u) + deg(v) - 1 = {du + dv - 1}"
             )
         h.color = c
-        self.held[u][c] = h
-        self.held[v][c] = h
+        if self.adaptive:
+            self.held[u][c] = self.held[v][c] = h
         visits += self._tree_holding(u, c).add(c, 1)
         visits += self._tree_holding(v, c).add(c, 1)
         if c > self.max_color_seen:
@@ -268,8 +273,8 @@ class EdgeColoring:
     def _uncolor(self, h: EdgeHandle) -> int:
         c = h.color
         u, v = h.lo, h.hi
-        del self.held[u][c]
-        del self.held[v][c]
+        if self.adaptive:
+            del self.held[u][c], self.held[v][c]
         h.color = None
         return self.tree[u].add(c, -1) + self.tree[v].add(c, -1)
 
@@ -326,35 +331,35 @@ class EdgeColoring:
     # -- structural self-check ------------------------------------------------------
 
     def self_check(self) -> None:
-        """Check every occupancy map and tree against the held colors.
+        """Check every tree, and in adaptive mode every color map, against
+        the colors on the graph's handles.
 
-        Each internal node is compared with the sum of its two children; with
-        the leaf row equal to the held colors, that is the tree rebuilt from
-        them. Raises InternalInvariantViolation naming the first vertex whose
-        occupancy map or tree disagrees.
+        Each vertex's colors are read once, in bulk. The leaf row must mark
+        exactly those colors and each internal node must hold the sum of its
+        two children, which together is the tree rebuilt from them. Raises
+        InternalInvariantViolation naming the first vertex that disagrees.
         """
-        adj = self.graph._adj
-        for v, (t, holds) in enumerate(zip(self.tree, self.held)):
-            problem = _tree_problem(v, t, holds, len(adj[v]))
+        color_of = attrgetter("color")
+        for v, (t, nbrs) in enumerate(zip(self.tree, self.graph._adj)):
+            colors = list(map(color_of, nbrs.values()))
+            problem = _tree_problem(t, colors)
+            if not problem and self.adaptive and self.held[v] != dict(zip(colors, nbrs.values())):
+                problem = "color map differs from the colors of its edges"
             if problem:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")
 
 
-def _tree_problem(
-    v: int, t: Optional[CountingTree], holds: Dict[int, EdgeHandle], degree: int
-) -> str:
-    """What is wrong with vertex v's colors and tree, or '' if nothing."""
-    if len(holds) != degree:
-        return f"holds {len(holds)} colors at degree {degree}"
+def _tree_problem(t: Optional[CountingTree], colors: List[Optional[int]]) -> str:
+    """What is wrong with a vertex's tree given its edges' colors, or ''."""
     if t is None:
-        return "holds colors but has no tree" if holds else ""
+        return "holds colors but has no tree" if colors else ""
     cap, node = t.cap, t.node
     bits = [0] * cap
-    for c, h in holds.items():
-        if h.color != c or v not in (h.lo, h.hi):
-            return f"color {c} maps to {h!r} colored {h.color}"
-        if not 1 <= c <= cap:
+    for c in colors:
+        if c is None or not 1 <= c <= cap:
             return f"color {c} outside its tree's range [1, {cap}]"
+        if bits[c - 1]:
+            return f"two edges share color {c}"
         bits[c - 1] = 1
     if node[cap:] != bits:
         return "leaf row differs from the held colors"

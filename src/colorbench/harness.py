@@ -460,7 +460,7 @@ def compare(
         if hasattr(engine, "colors"):
             max_color = max(engine.colors(), default=0)
         else:
-            max_color = engine.max_color_seen
+            max_color = max(engine.edge_colors().values(), default=0)
         rows.append(
             {
                 "engine": name,

@@ -135,12 +135,16 @@ def test_tree_width_follows_the_largest_color_held():
     ec.self_check()
 
 
-def test_insert_delete_round_trip_restores_empty_state():
-    g = new_graph(4, 3)
-    ec = EdgeColoring(g)
+@pytest.mark.parametrize("delta", [3, None])
+def test_insert_delete_round_trip_restores_empty_state(delta):
+    g = new_graph(4, delta)
+    ec = EdgeColoring(g, adaptive=delta is None)
     g.insert(0, 1)
     g.delete(0, 1)
-    assert ec.held[0] == {} and ec.held[1] == {}
+    if delta is None:
+        assert ec.held == [{}] * 4
+    else:
+        assert ec.held is None  # fixed mode keeps no color -> handle map
     assert all(x == 0 for x in ec.tree[0].node)
     assert all(x == 0 for x in ec.tree[1].node)
 
@@ -201,7 +205,7 @@ def test_range_count_exhaustive_small_palettes():
         for ev in events:
             g.apply(ev)
         for v in (0, 5, 11):
-            held = set(ec.held[v])
+            held = {h.color for h in g._adj[v].values()}
             for a in range(1, 2 * delta + 1):
                 for b in range(a, 2 * delta + 1):
                     naive = sum(1 for c in held if a <= c < b)
@@ -288,8 +292,9 @@ def test_adaptive_random_trace_palette_per_edge():
 
 
 def reference_color(ec, u, v, span):
-    """The search run on full-width bitmaps rebuilt from the occupancy maps."""
-    held = set(ec.held[u]), set(ec.held[v])
+    """The search run on full-width bitmaps rebuilt from the colored handles."""
+    adj = ec.graph._adj
+    held = [{h.color for h in adj[x].values()} - {None} for x in (u, v)]
     lo, size = 1, span
     while size > 1:
         size >>= 1
@@ -373,20 +378,18 @@ def test_corrupted_tree_fails_the_rebuild_audit():
     assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
 
 
-def rebuilt_tree_problem(v, t, holds, degree):
+def rebuilt_tree_problem(t, colors):
     """Reference: ``_tree_problem`` as it was when it rebuilt every row of the
     tree from the held colors, leaves first."""
-    if len(holds) != degree:
-        return f"holds {len(holds)} colors at degree {degree}"
     if t is None:
-        return "holds colors but has no tree" if holds else ""
+        return "holds colors but has no tree" if colors else ""
     cap, node = t.cap, t.node
     bits = [0] * cap
-    for c, h in holds.items():
-        if h.color != c or v not in (h.lo, h.hi):
-            return f"color {c} maps to {h!r} colored {h.color}"
-        if not 1 <= c <= cap:
+    for c in colors:
+        if c is None or not 1 <= c <= cap:
             return f"color {c} outside its tree's range [1, {cap}]"
+        if bits[c - 1]:
+            return f"two edges share color {c}"
         bits[c - 1] = 1
     row = node[cap:]
     if row != bits:
@@ -417,14 +420,11 @@ def _bump(*indices):
     return corrupt
 
 
-def _color_outside_the_tree(g, ec):
-    h = ec.held[0].pop(5)
-    h.color = 9
-    ec.held[0][9] = h
-
-
-def _color_unlike_its_key(g, ec):
-    ec.held[0][3].color = 4
+def _recolor(w, color_of):
+    """Set the color of star edge (0, w) behind the engine's back."""
+    def corrupt(g, ec):
+        g._adj[0][w].color = color_of(g)
+    return corrupt
 
 
 TREE_CORRUPTIONS = {
@@ -434,8 +434,9 @@ TREE_CORRUPTIONS = {
     "leaf": _bump(8 + 6),
     "rows-of-4-and-1": _bump(5, 1),
     "leaf-and-row-of-2": _bump(8, 2),
-    "color-outside-the-tree": _color_outside_the_tree,
-    "color-unlike-its-key": _color_unlike_its_key,
+    "color-outside-the-tree": _recolor(5, lambda g: 9),
+    "color-none": _recolor(3, lambda g: None),
+    "color-of-a-sibling-edge": _recolor(3, lambda g: g._adj[0][4].color),
 }
 
 
@@ -443,14 +444,9 @@ TREE_CORRUPTIONS = {
 def test_self_check_names_what_the_row_rebuild_names(corrupt):
     g, ec = cap_8_star()
     corrupt(g, ec)
-    problems = [
-        _tree_problem(v, t, holds, g.degree(v))
-        for v, (t, holds) in enumerate(zip(ec.tree, ec.held))
-    ]
-    assert problems == [
-        rebuilt_tree_problem(v, t, holds, g.degree(v))
-        for v, (t, holds) in enumerate(zip(ec.tree, ec.held))
-    ]
+    colors = [[h.color for h in nbrs.values()] for nbrs in g._adj]
+    problems = [_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
+    assert problems == [rebuilt_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
     assert problems[0]
     with pytest.raises(InternalInvariantViolation) as exc:
         ec.self_check()
@@ -465,3 +461,40 @@ def test_corrupted_tree_fails_the_rebuild_audit_under_python_O(run_optimized):
         "print(dict(audit_engine('edge-c', g, ec, deep=True))['tree-rebuild'].passed)\n"
     )
     assert run_optimized(script) == "False"
+
+
+def _drop_entry(g, ec):
+    del ec.held[0][3]
+
+
+def _entry_to_another_handle(g, ec):
+    ec.held[0][3] = g._adj[0][2]
+
+
+def _extra_entry(g, ec):
+    ec.held[0][9] = g._adj[0][5]
+
+
+COLOR_MAP_CORRUPTIONS = {
+    "entry-dropped": _drop_entry,
+    "entry-to-another-handle": _entry_to_another_handle,
+    "extra-entry": _extra_entry,
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", COLOR_MAP_CORRUPTIONS.values(), ids=COLOR_MAP_CORRUPTIONS.keys()
+)
+def test_adaptive_color_map_is_checked_against_the_handles(corrupt):
+    g = new_graph(6, None)
+    ec = EdgeColoring(g, adaptive=True)
+    for w in range(1, 6):
+        g.insert(0, w)
+    assert ec.held[0] == {h.color: h for h in g._adj[0].values()}
+    ec.self_check()
+    corrupt(g, ec)
+    with pytest.raises(InternalInvariantViolation, match="vertex 0: color map differs"):
+        ec.self_check()
+    reports = dict(audit_engine("edge-c", g, ec, deep=True))
+    assert not reports["tree-rebuild"].passed
+    assert reports["proper-edge"].passed and reports["edge-palette"].passed

@@ -60,6 +60,15 @@ def test_edge_coloring_bytes_per_edge_do_not_grow_with_delta():
     assert per_edge <= 1024, per_edge
 
 
+def test_edge_c_keeps_no_second_copy_of_its_colors():
+    # Dense insert-heavy graph, about 16,000 edges. With a color -> handle map
+    # per vertex beside the handles and the trees, fixed-mode edge-c took
+    # 305 B per edge here; with the colors on the handles and in the trees
+    # only, 220 B.
+    per_edge = replay_bytes_per_edge("edge-c", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
+    assert per_edge <= 260, per_edge
+
+
 def test_det_vc_keeps_no_second_copy_of_the_adjacency():
     # Dense insert-heavy graph, about 16,000 edges. With its own copy of each
     # neighbour set at prefix length 0, det-vc took 316 B per edge here;

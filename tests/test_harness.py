@@ -462,6 +462,14 @@ def test_compare_table_rows():
     assert "engine" in table and "rand-vc" in table
 
 
+def test_compare_reports_the_largest_edge_color_left():
+    # edge (0, 2) takes color 2 and is deleted; only (0, 1), colored 1, is left
+    events, _ = parse_trace("+ 0 1\n+ 0 2\n- 0 2\n")
+    rows, code = harness.compare(events, ["edge-c"], 3, 2)
+    assert code == 0
+    assert rows[0]["max_color"] == 1
+
+
 # -- CLI ---------------------------------------------------------------------------------
 
 

@@ -89,10 +89,16 @@ class EngineMachine(RuleBasedStateMachine):
             colors = list(eng.edge_colors().items())
         else:
             colors = eng.colors()
-        hierarchy = None
+        # the engine's own structures: rand-vc's levels and color tables,
+        # edge-c's trees and, in adaptive mode, its color -> handle maps
+        state = None
         if isinstance(eng, RandVertexColoring):
-            hierarchy = list(eng.hier.level), [list(m.items()) for m in eng.mu]
-        return g.num_edges, g.seq, adjacency, colors, hierarchy
+            state = list(eng.hier.level), [list(m.items()) for m in eng.mu]
+        elif self.name == "edge-c":
+            trees = [None if t is None else (t.cap, list(t.node)) for t in eng.tree]
+            held = None if eng.held is None else [list(m.items()) for m in eng.held]
+            state = trees, held
+        return g.num_edges, g.seq, adjacency, colors, state
 
     def step(self, kind, u, v):
         expected = self.refusal(kind, u, v)
@@ -107,7 +113,7 @@ class EngineMachine(RuleBasedStateMachine):
             self.degree[v] += sign
             return
         before = self.snapshot()
-        if before[-1] is not None and max(before[-1][0], default=4) > 4:
+        if isinstance(self.engine, RandVertexColoring) and max(before[-1][0], default=4) > 4:
             self.tally["refusals above level 4"] += 1
         try:
             self.graph.apply(UpdateEvent(kind, u, v))
