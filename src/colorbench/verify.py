@@ -5,13 +5,25 @@ colors) with plain scans and no shared state with the engines, so a
 disagreement always blames the engine. These run in tests, at the harness's
 periodic checkpoints and in the deep audit that ends every ``harness.run``,
 so their cost is part of every run's time, and the benchmark times them.
+
+The checks of stored state (edge colors, det-vc's prefix counts and classes,
+rand-vc's neighbor sets) do Python-level work only where a check can fail:
+verdict, then walk. Each vertex (for det-vc's class-size bounds, the whole
+recount) first gets a verdict from a few C-level operations on its
+adjacency and stored sets (sizes, set equality or inclusion, counts of
+levels or coordinates). Only a vertex whose verdict fails is walked item by
+item, in the original order, to list its violations; a vertex that passes
+owns none, so the walk reports exactly what a walk of every vertex would. A helper called once per vertex is local
+to its check: the benchmark's tracer records a span for every call of a
+module-level function here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain, compress, cycle, repeat
+from operator import attrgetter, countOf, eq, itemgetter, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -151,11 +163,50 @@ def check_hierarchy(
 
     ``recount`` is a ``recount_band_invariants`` result for the same state;
     passing it skips a second recount.
+
+    Each vertex first gets a verdict from C-level checks of its sets: they
+    are together as large as its adjacency, and each lies in the adjacency
+    with every member at the set's level, below v's for the below set. The
+    sets are then disjoint and cover the adjacency, and the below set holds
+    exactly the neighbors the recount found below. A dormant partition's only
+    set is the adjacency itself, at level 4: there a vertex passes when it
+    stores no below set, once every vertex is found at level 4 (failing that,
+    when it and all its neighbors are at level 4 too). Only a vertex that
+    fails is walked member by member to list its violations.
     """
     report, below_count = recount or recount_band_invariants(graph, part)
     bad = list(report.violations)
     level = part.level
-    for v in range(graph.n):
+    level_of = level.__getitem__
+    adj = graph._adj
+    L = part.L
+    if part.dormant:
+        verdicts = map(not_, part.below)
+        if countOf(level, 4) != len(level):
+            verdicts = map(all, zip(
+                verdicts,
+                map((4).__eq__, level),
+                map(eq, map(countOf, map(map, repeat(level_of), adj), repeat(4)), map(len, adj)),
+            ))
+    else:
+        def settled(v: int) -> bool:
+            lv = level[v]
+            below = part.below[v]
+            same = part.same[v]
+            adj_v = adj[v].keys()
+            return (
+                len(below) + sum(map(len, same.values())) == len(adj_v)
+                and below.keys() <= adj_v
+                and (not below or max(map(level_of, below)) < lv)
+                and all(
+                    not s or (4 <= lv <= j <= L and s.keys() <= adj_v
+                              and countOf(map(level_of, s), j) == len(s))
+                    for j, s in same.items()
+                )
+            )
+
+        verdicts = map(settled, range(graph.n))
+    for v in compress(range(graph.n), map(not_, verdicts)):
         lv = level[v]
         below = part.below[v]
         if len(below) != below_count[v]:
@@ -164,12 +215,12 @@ def check_hierarchy(
         for u in below:
             if not level[u] < lv:
                 bad.append(("below-band", v, u, (level[u], lv)))
-        for j in range(4, part.L + 1):
+        for j in range(4, L + 1):
             for u in part.same_list(v, j):
                 seen.add(u)
                 if level[u] != j or j < lv:
                     bad.append(("same-band", v, u, (level[u], j, lv)))
-        adj_v = graph._adj[v]
+        adj_v = adj[v]
         if len(seen) != len(adj_v) or any(u not in adj_v for u in seen):
             bad.append(("partition", v, sorted(seen), sorted(adj_v)))
     return AuditReport.from_violations(bad)
@@ -224,24 +275,35 @@ def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, Lis
     Class sizes are recounted from colors alone, each edge classified once:
     ``counts[v][j]`` neighbors of v share its length-j prefix. The counts are
     returned too, for ``check_tuple_state`` to reuse.
+
+    A vertex's length-0 count is its degree, and an edge walks the prefix
+    lengths from 1 up only when its endpoints' first coordinates agree. One
+    C-level verdict checks every count against its bound; only when it fails
+    are the counts walked to list the ``degree-bound`` violations.
     """
-    bad: List[tuple] = []
     p = engine.params
     coords = engine.coords
     L = p.levels
-    counts = [[0] * (L + 1) for _ in range(graph.n)]
-    for u in range(graph.n):
-        cu = coords[u]
-        for v in graph._adj[u]:
-            if u < v:
-                cv = coords[v]
-                i = 0
+    adj = graph._adj
+    first = list(map(itemgetter(0), coords))
+    tail = [0] * L
+    counts = [[d] + tail for d in map(len, adj)]
+    for u, nbrs in enumerate(adj):
+        a = first[u]
+        for v in nbrs:
+            if u < v and first[v] == a:
+                cu, cv = coords[u], coords[v]
+                i = 1
                 while i < L and cu[i] == cv[i]:
                     i += 1
-                for j in range(i + 1):
-                    counts[u][j] += 1
-                    counts[v][j] += 1
+                row_u, row_v = counts[u], counts[v]
+                for j in range(1, i + 1):
+                    row_u[j] += 1
+                    row_v[j] += 1
     allowed = p.max_allowed
+    if all(map(le, chain.from_iterable(counts), cycle(allowed))):
+        return AuditReport(True), counts
+    bad: List[tuple] = []
     for v in range(graph.n):
         for j in range(L + 1):
             if counts[v][j] > allowed[j]:
@@ -257,21 +319,37 @@ def check_tuple_state(
     """Check stored prefix classes, coordinates, phi and scratch against the
     class sizes of ``recount``, a ``check_tuple_invariant`` result for the same
     state (recounted if not given). A set of the recounted size whose members
-    are all neighbors sharing v's length-j prefix is the class rebuilt from colors."""
+    are all neighbors sharing v's length-j prefix is the class rebuilt from colors.
+
+    Each vertex gets a verdict from C-level checks, one vertex at a time: its
+    stored class sizes are the recount, its length-0 class equals its
+    adjacency, and its coordinates are in range. A vertex that passes has its
+    members scanned only in its nonempty classes of length 1 and up; one that
+    fails is walked in full, every class and coordinate, to list violations.
+    """
     report, counts = recount or check_tuple_invariant(graph, engine)
     bad = list(report.violations)
     p = engine.params
     coords = engine.coords
-    for v in range(graph.n):
-        cv = coords[v]
-        adj_v = graph._adj[v]
-        for j, (stored, size) in enumerate(zip(engine.nstar[v], counts[v])):
+    radix = p.radix
+    digits = set(range(1, radix + 1))
+    for v, (classes, row, adj_v, cv) in enumerate(zip(engine.nstar, counts, graph._adj, coords)):
+        fine = (
+            list(map(len, classes)) == row
+            and classes[0] == adj_v.keys()
+            and digits.issuperset(cv)
+        )
+        if fine and not row[1]:
+            continue
+        for j in range(1 if fine else 0, p.levels + 1):
+            stored = classes[j]
+            size = row[j]
             if len(stored) != size or (
                 size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
             ):
                 bad.append(("prefix-set", v, j, (sorted(stored), size)))
-        if any(not 1 <= c <= p.radix for c in cv):
-            bad.append(("coordinate-range", v, tuple(cv), p.radix))
+        if not fine and any(not 1 <= c <= radix for c in cv):
+            bad.append(("coordinate-range", v, tuple(cv), radix))
     phi = sum(map(sum, counts))
     if phi != engine.phi:
         bad.append(("potential", None, engine.phi, phi))
