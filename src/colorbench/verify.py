@@ -13,9 +13,9 @@ recount) first gets a verdict from a few C-level operations on its
 adjacency and stored sets (sizes, set equality or inclusion, counts of
 levels or coordinates). Only a vertex whose verdict fails is walked item by
 item, in the original order, to list its violations; a vertex that passes
-owns none, so the walk reports exactly what a walk of every vertex would. A helper called once per vertex is local
-to its check: the benchmark's tracer records a span for every call of a
-module-level function here.
+owns none, so the walk reports exactly what a walk of every vertex would.
+A helper called once per vertex is local to its check: the benchmark's
+tracer records a span for every call of a module-level function here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, repeat
-from operator import attrgetter, countOf, eq, itemgetter, le, not_
+from operator import attrgetter, countOf, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -170,9 +170,9 @@ def check_hierarchy(
     sets are then disjoint and cover the adjacency, and the below set holds
     exactly the neighbors the recount found below. A dormant partition's only
     set is the adjacency itself, at level 4: there a vertex passes when it
-    stores no below set, once every vertex is found at level 4 (failing that,
-    when it and all its neighbors are at level 4 too). Only a vertex that
-    fails is walked member by member to list its violations.
+    stores no below set and every vertex is at level 4; if some vertex is
+    not, every vertex fails. A vertex that fails is walked member by member
+    to list its violations.
     """
     report, below_count = recount or recount_band_invariants(graph, part)
     bad = list(report.violations)
@@ -181,13 +181,7 @@ def check_hierarchy(
     adj = graph._adj
     L = part.L
     if part.dormant:
-        verdicts = map(not_, part.below)
-        if countOf(level, 4) != len(level):
-            verdicts = map(all, zip(
-                verdicts,
-                map((4).__eq__, level),
-                map(eq, map(countOf, map(map, repeat(level_of), adj), repeat(4)), map(len, adj)),
-            ))
+        verdicts = map(not_, part.below) if countOf(level, 4) == len(level) else repeat(False)
     else:
         def settled(v: int) -> bool:
             lv = level[v]
@@ -285,14 +279,14 @@ def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, Lis
     coords = engine.coords
     L = p.levels
     adj = graph._adj
-    first = list(map(itemgetter(0), coords))
     tail = [0] * L
     counts = [[d] + tail for d in map(len, adj)]
     for u, nbrs in enumerate(adj):
-        a = first[u]
+        cu = coords[u]
+        a = cu[0]
         for v in nbrs:
-            if u < v and first[v] == a:
-                cu, cv = coords[u], coords[v]
+            if u < v and coords[v][0] == a:
+                cv = coords[v]
                 i = 1
                 while i < L and cu[i] == cv[i]:
                     i += 1
