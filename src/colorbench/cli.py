@@ -2,6 +2,10 @@
 
 Exit codes: 0 ok, 1 audit failure, 2 usage error (a refused trace update
 included), which names the trace line at fault and leaves no output file.
+
+A trace header's ``n=`` sizes the graph only up to ``HEADER_N_MAX``
+vertices, so that a header alone cannot drive a multi-gigabyte allocation;
+a larger graph needs ``--n``, which overrides the header.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ from typing import Iterator, List, Optional, TextIO
 
 from . import harness
 from .errors import ColorbenchError, InputError, InvalidSpec
+from .hierarchy import BOTTOM_LEVEL
+
+# The largest vertex count a trace header may set without --n: every engine
+# keeps a few containers per vertex, some hundreds of bytes in all.
+HEADER_N_MAX = 1_000_000
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -77,6 +86,10 @@ def _resolve_shape(args, meta) -> tuple[int, Optional[int], int]:
     n = args.n
     if n is None and "n" in meta:
         n = _header_int(meta, "n")
+        if n > HEADER_N_MAX:
+            raise InvalidSpec(
+                f"trace header n={n} is above {HEADER_N_MAX}: pass --n to replay a graph this large"
+            )
     if n is None:
         raise InvalidSpec("vertex count unknown: pass --n or use a trace header")
     if args.adaptive:
@@ -157,7 +170,12 @@ def main(argv=None) -> int:
                 print(f"AUDIT FAILURE after {res.updates} updates: "
                       f"{', '.join(res.failed_checks)}", file=sys.stderr)
             else:
-                print(f"ok: {res.updates} updates, totals {res.totals}")
+                line = f"ok: {res.updates} updates, totals {res.totals}"
+                if args.engine == "rand-vc":
+                    hier = res.engine_obj.hier
+                    line += (f", hierarchy {'dormant' if hier.dormant else 'active'}, "
+                             f"max level {max(hier.level, default=BOTTOM_LEVEL)}")
+                print(line)
             return res.exit_code
 
         # compare

@@ -290,21 +290,16 @@ def audit_engine(
             reports.append(("hierarchy-bands", bands))
         elif rand:
             hier = engine.hier
-            bands, below_count, fresh = verify.recount_band_invariants(graph, hier, chi)
+            bands, below_count, mu_bad = verify.recount_band_invariants(
+                graph, hier, chi, engine.mu
+            )
             reports.append(("hierarchy-bands", bands))
             lists = verify.check_hierarchy(graph, hier, (bands, below_count))
             reports.append(("hierarchy-lists", lists))
-            mu_bad = [
-                ("upper-counts", v, engine.mu[v], fresh[v])
-                for v in range(graph.n)
-                if engine.mu[v] != fresh[v]
-            ]
             reports.append(("upper-counts", verify.AuditReport.from_violations(mu_bad)))
     elif name == "det-vc":
-        reports.append(
-            ("proper-vertex", verify.check_proper_vertex(graph, engine.colors()))
-        )
         recount = verify.check_tuple_invariant(graph, engine)
+        reports.append(("proper-vertex", verify.check_tuple_proper(graph, engine, recount)))
         reports.append(("tuple-invariant", recount[0]))
         if deep:
             reports.append(("tuple-state", verify.check_tuple_state(graph, engine, recount)))

@@ -16,6 +16,15 @@ item, in the original order, to list its violations; a vertex that passes
 owns none, so the walk reports exactly what a walk of every vertex would.
 A helper called once per vertex is local to its check: the benchmark's
 tracer records a span for every call of a module-level function here.
+
+Every audit keeps a constant number of containers alive, whatever n is.
+A per-vertex table or row is built, compared and dropped within its
+vertex's turn, and counts that outlive the pass sit in flat lists of ints.
+The collector counts container allocations net of frees, so n containers
+alive at once set off about n / 700 young collections, and on a large
+graph a full collection of everything the run has built as well (at
+n = 30,000, one in each deep audit). Nothing here touches the collector's
+settings.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, repeat
-from operator import attrgetter, countOf, le, not_
+from operator import attrgetter, countOf, gt, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -108,39 +117,52 @@ def check_edge_coloring(
 
 
 def recount_band_invariants(
-    graph: DynamicGraph, part, chi: Optional[Sequence[int]] = None
+    graph: DynamicGraph,
+    part,
+    chi: Optional[Sequence[int]] = None,
+    mu: Optional[Sequence[Dict[int, int]]] = None,
 ) -> tuple:
     """Both band invariants recounted from adjacency and levels alone.
 
     Returns the report and the recounted below-degrees, which
-    ``check_hierarchy`` reuses when handed them. Given the colors ``chi``,
-    the same pass over each vertex's neighbors also rebuilds its table of
-    the colors held at its level or above, as ``rebuild_upper_color_counts``
-    does, and returns the tables third.
+    ``check_hierarchy`` reuses when handed them. Given the colors ``chi``
+    and the stored tables ``mu``, the same pass over each vertex's neighbors
+    also rebuilds its table of the colors held at its level or above, as
+    ``rebuild_upper_color_counts`` does, compares it with the stored one at
+    once and drops it; the ``upper-counts`` violations, in vertex order,
+    are returned third.
     """
     bad: List[tuple] = []
     level = part.level
     n = graph.n
     below_count = [0] * n
     at_level = [0] * n
-    upper = None if chi is None else [{} for _ in range(n)]
+    upper_bad: Optional[List[tuple]] = None if mu is None else []
     for u, nbrs in enumerate(graph._adj):
         lu = level[u]
         below = at = 0
-        for v in nbrs:
-            lv = level[v]
-            if lv < lu:
-                below += 1
-            elif lv == lu:
-                at += 1
+        if upper_bad is None:
+            for v in nbrs:
+                lv = level[v]
+                if lv < lu:
+                    below += 1
+                elif lv == lu:
+                    at += 1
+        else:
+            table: Dict[int, int] = {}
+            for v in nbrs:
+                lv = level[v]
+                if lv < lu:
+                    below += 1
+                    continue
+                if lv == lu:
+                    at += 1
+                c = chi[v]
+                table[c] = table.get(c, 0) + 1
+            if table != mu[u]:
+                upper_bad.append(("upper-counts", u, mu[u], table))
         below_count[u] = below
         at_level[u] = at
-        if upper is not None:
-            table = upper[u]
-            for v in nbrs:
-                if level[v] >= lu:
-                    c = chi[v]
-                    table[c] = table.get(c, 0) + 1
     pows = part.pow
     for v in range(n):
         lv = level[v]
@@ -151,7 +173,7 @@ def recount_band_invariants(
         elif below_count[v] + at_level[v] > pows[lv]:
             bad.append(("invariant-2", v, below_count[v] + at_level[v], pows[lv]))
     report = AuditReport.from_violations(bad)
-    return (report, below_count) if upper is None else (report, below_count, upper)
+    return (report, below_count) if upper_bad is None else (report, below_count, upper_bad)
 
 
 def check_hierarchy(
@@ -250,8 +272,9 @@ def rebuild_upper_color_counts(
 ) -> List[Dict[int, int]]:
     """Fresh per-vertex multiplicity tables of colors at same-or-higher level.
 
-    The tests' reference for the tables ``recount_band_invariants`` builds
-    in its own pass when given the colors.
+    The tests' reference for the tables ``recount_band_invariants`` rebuilds
+    and compares, one vertex at a time, when given the colors and the
+    stored tables.
     """
     fresh: List[Dict[int, int]] = [dict() for _ in range(graph.n)]
     level = part.level
@@ -263,12 +286,13 @@ def rebuild_upper_color_counts(
     return fresh
 
 
-def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, List[List[int]]]:
+def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, List[int]]:
     """Per-level class-size bound via recount against the threshold table.
 
-    Class sizes are recounted from colors alone, each edge classified once:
-    ``counts[v][j]`` neighbors of v share its length-j prefix. The counts are
-    returned too, for ``check_tuple_state`` to reuse.
+    Class sizes are recounted from colors alone, each edge classified once,
+    into one flat list: ``counts[v * (L + 1) + j]`` neighbors of v share its
+    length-j prefix. The counts are returned too, for ``check_tuple_proper``
+    and ``check_tuple_state`` to reuse.
 
     A vertex's length-0 count is its degree, and an edge walks the prefix
     lengths from 1 up only when its endpoints' first coordinates agree. One
@@ -278,37 +302,65 @@ def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, Lis
     p = engine.params
     coords = engine.coords
     L = p.levels
+    width = L + 1
     adj = graph._adj
-    tail = [0] * L
-    counts = [[d] + tail for d in map(len, adj)]
+    counts = [0] * (graph.n * width)
+    counts[::width] = map(len, adj)
     for u, nbrs in enumerate(adj):
         cu = coords[u]
         a = cu[0]
+        base_u = u * width
         for v in nbrs:
             if u < v and coords[v][0] == a:
                 cv = coords[v]
                 i = 1
                 while i < L and cu[i] == cv[i]:
                     i += 1
-                row_u, row_v = counts[u], counts[v]
+                base_v = v * width
                 for j in range(1, i + 1):
-                    row_u[j] += 1
-                    row_v[j] += 1
+                    counts[base_u + j] += 1
+                    counts[base_v + j] += 1
     allowed = p.max_allowed
-    if all(map(le, chain.from_iterable(counts), cycle(allowed))):
+    if all(map(le, counts, cycle(allowed))):
         return AuditReport(True), counts
     bad: List[tuple] = []
-    for v in range(graph.n):
-        for j in range(L + 1):
-            if counts[v][j] > allowed[j]:
-                bad.append(("degree-bound", v, j, (counts[v][j], allowed[j])))
+    for k in compress(range(len(counts)), map(gt, counts, cycle(allowed))):
+        v, j = divmod(k, width)
+        bad.append(("degree-bound", v, j, (counts[k], allowed[j])))
     return AuditReport.from_violations(bad), counts
+
+
+def check_tuple_proper(
+    graph: DynamicGraph,
+    engine,
+    recount: Optional[Tuple[AuditReport, List[int]]] = None,
+) -> AuditReport:
+    """Properness of det-vc's tuple colors, read off ``recount``, a
+    ``check_tuple_invariant`` result for the same state (recounted if not given).
+
+    When every tuple has L coordinates, each in [1, radix], two vertices'
+    encoded colors are equal exactly when they share their length-L prefix,
+    so the state is proper when every length-L count is 0. Only a state that
+    fails this verdict is scanned edge by edge, as ``check_proper_vertex``
+    over the encoded colors, to list its violations.
+    """
+    _, counts = recount or check_tuple_invariant(graph, engine)
+    p = engine.params
+    L = p.levels
+    coords = engine.coords
+    if (
+        countOf(map(len, coords), L) == len(coords)
+        and set(range(1, p.radix + 1)).issuperset(chain.from_iterable(coords))
+        and not any(counts[L :: L + 1])
+    ):
+        return AuditReport(True)
+    return check_proper_vertex(graph, engine.colors())
 
 
 def check_tuple_state(
     graph: DynamicGraph,
     engine,
-    recount: Optional[Tuple[AuditReport, List[List[int]]]] = None,
+    recount: Optional[Tuple[AuditReport, List[int]]] = None,
 ) -> AuditReport:
     """Check stored prefix classes, coordinates, phi and scratch against the
     class sizes of ``recount``, a ``check_tuple_invariant`` result for the same
@@ -316,18 +368,22 @@ def check_tuple_state(
     are all neighbors sharing v's length-j prefix is the class rebuilt from colors.
 
     Each vertex gets a verdict from C-level checks, one vertex at a time: its
-    stored class sizes are the recount, its length-0 class equals its
-    adjacency, and its coordinates are in range. A vertex that passes has its
-    members scanned only in its nonempty classes of length 1 and up; one that
-    fails is walked in full, every class and coordinate, to list violations.
+    stored class sizes are its row of the recount, its length-0 class equals
+    its adjacency, and its coordinates are in range. A vertex that passes has
+    its members scanned only in its nonempty classes of length 1 and up; one
+    that fails is walked in full, every class and coordinate, to list violations.
     """
     report, counts = recount or check_tuple_invariant(graph, engine)
     bad = list(report.violations)
     p = engine.params
     coords = engine.coords
     radix = p.radix
+    width = p.levels + 1
     digits = set(range(1, radix + 1))
-    for v, (classes, row, adj_v, cv) in enumerate(zip(engine.nstar, counts, graph._adj, coords)):
+    for v, (classes, adj_v, cv) in enumerate(zip(engine.nstar, graph._adj, coords)):
+        # a list slice: a tuple built from a map is allocated oversized and
+        # shrunk, and the collector counts it as alive once it is freed
+        row = counts[v * width : (v + 1) * width]
         fine = (
             list(map(len, classes)) == row
             and classes[0] == adj_v.keys()
@@ -335,7 +391,7 @@ def check_tuple_state(
         )
         if fine and not row[1]:
             continue
-        for j in range(1 if fine else 0, p.levels + 1):
+        for j in range(1 if fine else 0, width):
             stored = classes[j]
             size = row[j]
             if len(stored) != size or (
@@ -344,7 +400,7 @@ def check_tuple_state(
                 bad.append(("prefix-set", v, j, (sorted(stored), size)))
         if not fine and any(not 1 <= c <= radix for c in cv):
             bad.append(("coordinate-range", v, tuple(cv), radix))
-    phi = sum(map(sum, counts))
+    phi = sum(counts)
     if phi != engine.phi:
         bad.append(("potential", None, engine.phi, phi))
     if any(engine.scratch):

@@ -612,3 +612,51 @@ def test_cli_non_integer_header_exits_two_and_leaves_no_output(
     out = capsys.readouterr()
     assert out.err == f"error: {message}\n" and out.out == ""
     assert list(tmp_path.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_refuses_an_oversized_header_n_before_building_a_graph(
+    tmp_path, capsys, monkeypatch, command
+):
+    def refused(*args, **kwargs):
+        pytest.fail("an engine was built")
+
+    monkeypatch.setattr(harness, "make_engine", refused)
+    trace = tmp_path / "t.trace"
+    trace.write_text("# colorbench-trace n=4000000000 delta=3\n+ 0 1\n")
+    argv = [command, "--trace", str(trace)]
+    if command == "run":
+        argv += ["--engine", "rand-vc",
+                 "--metrics-out", str(tmp_path / "m.csv"), "--audit-out", str(tmp_path / "a.jsonl")]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == (
+        f"error: trace header n=4000000000 is above {cli.HEADER_N_MAX}: "
+        "pass --n to replay a graph this large\n"
+    )
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+def test_cli_n_overrides_an_oversized_header_n(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"# colorbench-trace n={cli.HEADER_N_MAX + 1} delta=3\n+ 0 1\n")
+    assert cli.main(["run", "--trace", str(trace), "--engine", "greedy-baseline", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("ok: 1 updates")
+
+
+@pytest.mark.parametrize(
+    "delta, beta, regime",
+    [(20, 21, "dormant, max level 4"), (20, 2, "active, max level 5")],
+)
+def test_cli_run_says_whether_the_hierarchy_was_dormant(tmp_path, capsys, delta, beta, regime):
+    trace = tmp_path / "t.trace"
+    assert cli.main(
+        ["gen", "--n", "21", "--delta", str(delta), "--ops", "3000", "--seed", "3",
+         "--mode", "insert-heavy", "--out", str(trace)]
+    ) == 0
+    argv = ["run", "--trace", str(trace), "--beta", str(beta)]
+    assert cli.main(argv + ["--engine", "rand-vc"]) == 0
+    assert capsys.readouterr().out.endswith(f"}}, hierarchy {regime}\n")
+    assert cli.main(argv + ["--engine", "det-vc"]) == 0
+    assert "hierarchy" not in capsys.readouterr().out

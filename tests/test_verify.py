@@ -2,9 +2,11 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import json
 import random
+from itertools import chain
 from typing import List, Set
 
 import pytest
@@ -423,8 +425,14 @@ def test_recount_tables_equal_the_rebuild_on_clean_states(seed, delta, beta):
     g, eng = _rand_state(seed, delta, beta)
     if beta == 2 and delta:
         assert len(set(eng.hier.level)) > 1  # the tables cross levels
-    _, below_count, upper = verify.recount_band_invariants(g, eng.hier, eng.chi)
-    assert upper == verify.rebuild_upper_color_counts(g, eng.hier, eng.chi) == eng.mu
+    fresh = verify.rebuild_upper_color_counts(g, eng.hier, eng.chi)
+    assert fresh == eng.mu
+    _, below_count, upper_bad = verify.recount_band_invariants(g, eng.hier, eng.chi, eng.mu)
+    assert upper_bad == []
+    # against empty stored tables, every nonempty rebuilt table is reported
+    blank = [{} for _ in range(g.n)]
+    _, _, upper_bad = verify.recount_band_invariants(g, eng.hier, eng.chi, blank)
+    assert upper_bad == [("upper-counts", v, {}, t) for v, t in enumerate(fresh) if t]
     assert below_count == verify.recount_band_invariants(g, eng.hier)[1]
     assert _assert_upper_counts_match_the_reference(g, eng) == []
 
@@ -717,7 +725,7 @@ REFERENCE_SHAPES = [(2000, 32, 30_000), DENSE_SHAPE]
 def _assert_tuple_oracles_match_the_references(g, eng):
     recount = verify.check_tuple_invariant(g, eng)
     reference = edge_major_tuple_invariant(g, eng)
-    assert recount[1] == reference[1]
+    assert recount[1] == list(chain.from_iterable(reference[1]))
     assert recount[0].violations == reference[0].violations
     assert recount[0].passed == reference[0].passed
     state = verify.check_tuple_state(g, eng, recount)
@@ -735,7 +743,9 @@ def _assert_hierarchy_matches_the_reference(g, eng):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_tuple_oracles_equal_the_references_on_clean_states(seed, n, delta, ops):
     g, eng = _replayed("det-vc", n, delta, seed, ops=ops)
-    assert any(any(row[2:]) for row in verify.check_tuple_invariant(g, eng)[1])
+    counts = verify.check_tuple_invariant(g, eng)[1]
+    width = eng.params.levels + 1
+    assert any(any(counts[k + 2 : k + width]) for k in range(0, len(counts), width))
     assert _assert_tuple_oracles_match_the_references(g, eng).passed
 
 
@@ -756,6 +766,53 @@ def test_tuple_oracles_equal_the_references_on_corrupted_states(corrupt):
     g, eng = _replayed("det-vc", n, delta, 3, ops=ops)
     corrupt(g, eng, random.Random(3))
     assert not _assert_tuple_oracles_match_the_references(g, eng).passed
+
+
+def _overlong_tuple_with_a_neighbors_color(g, eng, rng):
+    # tuples of L and L + 1 coordinates that differ within the first L yet
+    # encode to the same color
+    a = rng.choice([v for v in range(g.n) if g._adj[v]])
+    b = rng.choice(sorted(g._adj[a]))
+    L = eng.params.levels
+    eng.coords[a] = [1] * (L - 1) + [2]
+    eng.coords[b] = [1] * L + [2]
+    assert eng.color_of(a) == eng.color_of(b)
+
+
+def _carry_into_a_neighbors_color(g, eng, rng):
+    # a last coordinate of radix + 1 carries into the one before it
+    a = rng.choice([v for v in range(g.n) if g._adj[v]])
+    b = rng.choice(sorted(g._adj[a]))
+    L = eng.params.levels
+    eng.coords[a] = [1] * (L - 1) + [eng.params.radix + 1]
+    eng.coords[b] = [1] * (L - 2) + [2, 1]
+    assert eng.color_of(a) == eng.color_of(b)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [None] + TUPLE_CORRUPTIONS
+    + [_overlong_tuple_with_a_neighbors_color, _carry_into_a_neighbors_color],
+    ids=lambda f: f.__name__.strip("_") if f else "clean",
+)
+def test_tuple_properness_equals_the_edge_scan_of_the_encoded_colors(corrupt):
+    for seed in (3, 4, 5):
+        g, eng = _replayed("det-vc", 200, 32, seed, ops=6000)
+        if corrupt:
+            corrupt(g, eng, random.Random(seed))
+        reference = verify.check_proper_vertex(g, eng.colors())
+        if corrupt is None:  # a proper state passes on the verdict alone
+            eng.colors = functools.partial(pytest.fail, "the colors were encoded")
+        report = verify.check_tuple_proper(g, eng)
+        assert report.violations == reference.violations
+        assert report.passed == reference.passed
+        if corrupt in (
+            None,
+            _copy_a_neighbors_tuple,
+            _overlong_tuple_with_a_neighbors_color,
+            _carry_into_a_neighbors_color,
+        ):
+            assert report.passed == (corrupt is None)
 
 
 @pytest.mark.parametrize(
@@ -781,10 +838,12 @@ def _counting(calls, name, fn):
     return counted
 
 
-@pytest.mark.parametrize(
-    "name, beta",
-    [("rand-vc", 2), ("rand-vc", 21), ("det-vc", 2), ("edge-c", 2), ("greedy-baseline", 2)],
-)
+AUDITED_ENGINES = [
+    ("rand-vc", 2), ("rand-vc", 21), ("det-vc", 2), ("edge-c", 2), ("greedy-baseline", 2),
+]
+
+
+@pytest.mark.parametrize("name, beta", AUDITED_ENGINES)
 def test_a_deep_audit_calls_verify_as_often_on_a_larger_graph(name, beta, monkeypatch):
     # The benchmark's tracer wraps every function of ``verify`` the way this
     # test does, and records a span per call: a helper called once per vertex
@@ -800,3 +859,35 @@ def test_a_deep_audit_calls_verify_as_often_on_a_larger_graph(name, beta, monkey
         audit_engine(name, g, eng, deep=True)
         counted.append(dict(calls))
     assert counted[0] and counted[0] == counted[1]
+
+
+@pytest.mark.parametrize("name, beta", AUDITED_ENGINES)
+def test_an_audit_sets_off_as_many_collections_on_a_larger_graph(name, beta):
+    # An audit that keeps n containers alive at once sets off about n / 100
+    # young collections here, and at n = 30,000 a full collection of the
+    # whole replay heap.
+    states = [_replayed(name, n, 32, 3, beta=beta) for n in (200, 2000)]
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    counted = {False: [], True: []}
+    gc.callbacks.append(count)
+    try:
+        gc.set_threshold(100, *threshold[1:])
+        for g, eng in states:
+            for deep in counted:
+                gc.collect()
+                started.clear()
+                reports = audit_engine(name, g, eng, deep=deep)
+                counted[deep].append(len(started))
+                assert all(report.passed for _, report in reports)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert counted[False][0] == counted[False][1]
+    assert counted[True][0] == counted[True][1]
+
