@@ -20,7 +20,7 @@ from .det_coloring import (
     TupleVertexColoring,
     make_det_engine,
 )
-from .edge_coloring import CountingTree, EdgeColoring
+from .edge_coloring import EdgeColoring
 from .errors import (
     ColorbenchError,
     DegreeBoundExceeded,
@@ -43,7 +43,6 @@ from .rand_coloring import BlankUniqueView, RandVertexColoring
 __all__ = [
     "BlankUniqueView",
     "ColorbenchError",
-    "CountingTree",
     "DELETE",
     "DELTA_MIN",
     "DegreeBoundExceeded",

@@ -9,6 +9,12 @@ holds every color the vertex has held, and doubles when a larger color lands
 there. A vertex of small degree therefore keeps a small tree whatever delta
 is, in fixed and adaptive mode alike.
 
+A tree is a plain list ``node`` of 2 * cap counts: ``node[cap + c - 1]`` is
+color c's bit, every internal node holds the sum of its two children, and
+``node[0]`` is unused, so cap is ``len(node) >> 1``. The module functions
+``add``, ``count_range`` and ``grown`` work on such a list. A vertex thus
+holds one container the garbage collector tracks, not an object and a list.
+
 Coloring an inserted edge binary-searches [1, span + 1), where span is the
 palette rounded up to a power of two (fixed mode) or
 next_pow2(deg(u) + deg(v) - 1) (adaptive mode), descending into whichever
@@ -36,7 +42,7 @@ alone would need a scan of the endpoint's edges, more than O(log delta).
 
 from __future__ import annotations
 
-from operator import add, attrgetter
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
@@ -47,78 +53,65 @@ def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length() if x > 1 else 1
 
 
-class CountingTree:
-    """Implicit complete binary tree of occupancy bits with subtree counts.
+def add(node: List[int], color: int, delta: int) -> int:
+    """Add delta to color's bit and every count above it; returns node visits."""
+    idx = (len(node) >> 1) + color - 1
+    visits = 0
+    while idx:
+        node[idx] += delta
+        visits += 1
+        idx >>= 1
+    return visits
 
-    ``node[cap + c - 1]`` is color c's bit; every internal node holds the sum
-    of its children; ``node[0]`` is unused. Visit counts returned by mutators
-    feed the worst-case work instrumentation.
-    """
 
-    __slots__ = ("cap", "node")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.node = [0] * (2 * cap)
-
-    def add(self, color: int, delta: int) -> int:
-        idx = self.cap + color - 1
-        node = self.node
-        visits = 0
-        while idx:
-            node[idx] += delta
+def count_range(node: List[int], a: int, b: int) -> Tuple[int, int]:
+    """Sum of bits for colors in [a, b); returns (sum, node visits)."""
+    if a >= b:
+        return 0, 0
+    cap = len(node) >> 1
+    lo = cap + a - 1
+    hi = cap + b - 1
+    total = 0
+    visits = 0
+    while lo < hi:
+        if lo & 1:
+            total += node[lo]
             visits += 1
-            idx >>= 1
-        return visits
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            total += node[hi]
+            visits += 1
+        lo >>= 1
+        hi >>= 1
+    return total, visits
 
-    def count_range(self, a: int, b: int) -> Tuple[int, int]:
-        """Sum of bits for colors in [a, b); returns (sum, node visits)."""
-        if a >= b:
-            return 0, 0
-        node = self.node
-        lo = self.cap + a - 1
-        hi = self.cap + b - 1
-        total = 0
-        visits = 0
-        while lo < hi:
-            if lo & 1:
-                total += node[lo]
-                visits += 1
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                total += node[hi]
-                visits += 1
-            lo >>= 1
-            hi >>= 1
-        return total, visits
 
-    def grown(self, new_cap: int) -> "CountingTree":
-        """A copy covering [1, new_cap]; new_cap is a power of two >= cap.
+def grown(node: List[int], new_cap: int) -> List[int]:
+    """A copy covering [1, new_cap]; new_cap is a power of two >= the tree's cap.
 
-        This tree becomes the subtree rooted at node new_cap // cap of the
-        wider one, so each of its rows is copied with one slice assignment;
-        the nodes above that subtree's root all hold the root count.
-        """
-        cap = self.cap
-        if new_cap < cap or new_cap & (new_cap - 1):
-            raise ValueError(f"cannot grow a tree of capacity {cap} to {new_cap}")
-        t = CountingTree(new_cap)
-        old, new = self.node, t.node
-        offset = new_cap // cap
-        width = 1
-        while width <= cap:
-            new[offset * width : (offset + 1) * width] = old[width : 2 * width]
-            width <<= 1
+    The tree becomes the subtree rooted at node new_cap // cap of the wider
+    one, so each of its rows is copied with one slice assignment; the nodes
+    above that subtree's root all hold the root count.
+    """
+    cap = len(node) >> 1
+    if new_cap < cap or new_cap & (new_cap - 1):
+        raise ValueError(f"cannot grow a tree of capacity {cap} to {new_cap}")
+    new = [0] * (2 * new_cap)
+    offset = new_cap // cap
+    width = 1
+    while width <= cap:
+        new[offset * width : (offset + 1) * width] = node[width : 2 * width]
+        width <<= 1
+    offset >>= 1
+    while offset:
+        new[offset] = node[1]
         offset >>= 1
-        while offset:
-            new[offset] = old[1]
-            offset >>= 1
-        return t
+    return new
 
 
 # Stands in for the tree of a vertex that has never held a color; never written.
-_NO_COLORS = CountingTree(1)
+_NO_COLORS = (0, 0)
 
 
 class EdgeColoring:
@@ -139,10 +132,9 @@ class EdgeColoring:
             self.cap = _next_pow2(self.palette)
         else:
             self.palette = None
-            self.cap = 1
             self.held = [{} for _ in range(graph.n)]
         n = graph.n
-        self.tree: List[Optional[CountingTree]] = [None] * n
+        self.tree: List[Optional[List[int]]] = [None] * n
 
         self.invariant_checks = 0
         self.invariant_failures = 0
@@ -175,13 +167,13 @@ class EdgeColoring:
 
     # -- coloring ----------------------------------------------------------------
 
-    def _tree_holding(self, v: int, c: int) -> CountingTree:
+    def _tree_holding(self, v: int, c: int) -> List[int]:
         """v's tree, created or grown so that it covers color c."""
         t = self.tree[v]
         if t is None:
-            t = self.tree[v] = CountingTree(_next_pow2(c))
-        elif t.cap < c:
-            t = self.tree[v] = t.grown(_next_pow2(c))
+            t = self.tree[v] = [0] * (2 * _next_pow2(c))
+        elif len(t) >> 1 < c:
+            t = self.tree[v] = grown(t, _next_pow2(c))
         return t
 
     def color(self, h: EdgeHandle) -> Tuple[int, int]:
@@ -192,16 +184,17 @@ class EdgeColoring:
         endpoints) than slots, preferring the left half.
         """
         u, v = h.lo, h.hi
-        du = self.graph.degree(u)
-        dv = self.graph.degree(v)
+        adj = self.graph._adj
+        du = len(adj[u])
+        dv = len(adj[v])
         if self.adaptive:
             span = _next_pow2(max(1, du + dv - 1))
         else:
             span = self.cap
-        tu = self.tree[u] or _NO_COLORS
-        tv = self.tree[v] or _NO_COLORS
-        cu, cv = tu.cap, tv.cap
-        nu, nv = tu.node, tv.node
+        nu = self.tree[u] or _NO_COLORS
+        nv = self.tree[v] or _NO_COLORS
+        cu = len(nu) >> 1
+        cv = len(nv) >> 1
         # iu == 0: u's tree has no node for the current range (see module doc)
         iu = cu // span
         iv = cv // span
@@ -210,9 +203,8 @@ class EdgeColoring:
         visits = 2
         size = span
         lo = 1
-        self.invariant_checks += 1
         if su + sv >= size:
-            raise self._search_full(lo, size, u, v)
+            raise self._search_full(lo, size, span, u, v)
         # A tree with no node for the range (index 0) has all of its colors
         # in it on the leftmost path and none once the search is past the tree.
         while size > 1:
@@ -242,9 +234,10 @@ class EdgeColoring:
                 # node 1 is a root: the range right of it is past the tree
                 iu = iu + 1 if iu > 1 else 0
                 iv = iv + 1 if iv > 1 else 0
-            self.invariant_checks += 1
             if su + sv >= size:
-                raise self._search_full(lo, size, u, v)
+                raise self._search_full(lo, size, span, u, v)
+        # one check per level, size span down to 1
+        self.invariant_checks += span.bit_length()
 
         c = lo
         # rejected left halves were full, so colors below c are covered by
@@ -257,14 +250,15 @@ class EdgeColoring:
         h.color = c
         if self.adaptive:
             self.held[u][c] = self.held[v][c] = h
-        visits += self._tree_holding(u, c).add(c, 1)
-        visits += self._tree_holding(v, c).add(c, 1)
+        visits += add(self._tree_holding(u, c), c, 1)
+        visits += add(self._tree_holding(v, c), c, 1)
         if c > self.max_color_seen:
             self.max_color_seen = c
         return c, visits
 
-    def _search_full(self, lo: int, size: int, u: int, v: int) -> Exception:
+    def _search_full(self, lo: int, size: int, span: int, u: int, v: int) -> Exception:
         """Count a search range found full; returns the exception to raise."""
+        self.invariant_checks += (span // size).bit_length()
         self.invariant_failures += 1
         return InternalInvariantViolation(
             f"search range [{lo}, {lo + size}) full while coloring ({u}, {v})"
@@ -276,7 +270,7 @@ class EdgeColoring:
         if self.adaptive:
             del self.held[u][c], self.held[v][c]
         h.color = None
-        return self.tree[u].add(c, -1) + self.tree[v].add(c, -1)
+        return add(self.tree[u], c, -1) + add(self.tree[v], c, -1)
 
     def _shrink_fixups(self, u: int, v: int) -> Tuple[int, int]:
         """Re-color incident edges stranded above their shrunken palettes.
@@ -317,7 +311,8 @@ class EdgeColoring:
         t = self.tree[v]
         if t is None:
             return 0
-        count, _ = t.count_range(min(a, t.cap + 1), min(b, t.cap + 1))
+        top = (len(t) >> 1) + 1
+        count, _ = count_range(t, min(a, top), min(b, top))
         return count
 
     def edge_colors(self) -> Dict[Tuple[int, int], int]:
@@ -339,7 +334,7 @@ class EdgeColoring:
         two children, which together is the tree rebuilt from them. Raises
         InternalInvariantViolation naming the first vertex that disagrees.
         """
-        color_of = attrgetter("color")
+        color_of = operator.attrgetter("color")
         for v, (t, nbrs) in enumerate(zip(self.tree, self.graph._adj)):
             colors = list(map(color_of, nbrs.values()))
             problem = _tree_problem(t, colors)
@@ -349,11 +344,11 @@ class EdgeColoring:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")
 
 
-def _tree_problem(t: Optional[CountingTree], colors: List[Optional[int]]) -> str:
+def _tree_problem(node: Optional[List[int]], colors: List[Optional[int]]) -> str:
     """What is wrong with a vertex's tree given its edges' colors, or ''."""
-    if t is None:
+    if node is None:
         return "holds colors but has no tree" if colors else ""
-    cap, node = t.cap, t.node
+    cap = len(node) >> 1
     bits = [0] * cap
     for c in colors:
         if c is None or not 1 <= c <= cap:
@@ -364,7 +359,7 @@ def _tree_problem(t: Optional[CountingTree], colors: List[Optional[int]]) -> str
     if node[cap:] != bits:
         return "leaf row differs from the held colors"
     # sums[i - 1] is the sum of node i's children, 2i and 2i + 1
-    sums = list(map(add, node[2::2], node[3::2]))
+    sums = list(map(operator.add, node[2::2], node[3::2]))
     if node[1:cap] != sums:
         width = cap >> 1
         while node[width : 2 * width] == sums[width - 1 : 2 * width - 1]:

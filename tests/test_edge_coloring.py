@@ -13,11 +13,17 @@ from hypothesis import strategies as st
 
 from colorbench import EdgeColoring, InternalInvariantViolation, RangeOutOfBounds, new_graph
 from colorbench import verify
-from colorbench.edge_coloring import CountingTree, _next_pow2, _tree_problem
+from colorbench.edge_coloring import _next_pow2, _tree_problem, count_range, grown
+from colorbench.edge_coloring import add as tree_add
 from colorbench.harness import TraceSpec, audit_engine, generate, make_engine, run
 
 
 # -- counting tree -----------------------------------------------------------------
+
+
+def tree_cap(node):
+    """The highest color a counting tree (a node list) covers."""
+    return len(node) >> 1
 
 
 def test_next_pow2():
@@ -28,32 +34,32 @@ def test_next_pow2():
 
 def test_tree_matches_naive_bitmap():
     rng = random.Random(5)
-    t = CountingTree(32)
+    t = [0] * 64  # capacity 32
     bits = [0] * 33  # 1-based
     for _ in range(400):
         c = rng.randrange(1, 33)
         if bits[c]:
             bits[c] = 0
-            t.add(c, -1)
+            tree_add(t, c, -1)
         else:
             bits[c] = 1
-            t.add(c, 1)
+            tree_add(t, c, 1)
         a = rng.randrange(1, 34)
         b = rng.randrange(a, 34)
-        count, _ = t.count_range(a, b)
+        count, _ = count_range(t, a, b)
         assert count == sum(bits[a:b])
-    assert t.node[1] == sum(bits)
+    assert t[1] == sum(bits)
 
 
 def test_tree_grow_preserves_counts():
-    t = CountingTree(4)
+    t = [0] * 8  # capacity 4
     for c in (1, 3, 4):
-        t.add(c, 1)
-    big = t.grown(16)
-    assert big.node[1] == 3
+        tree_add(t, c, 1)
+    big = grown(t, 16)
+    assert big[1] == 3
     for a in range(1, 6):
         for b in range(a, 6):
-            assert big.count_range(a, b)[0] == t.count_range(a, b)[0]
+            assert count_range(big, a, b)[0] == count_range(t, a, b)[0]
 
 
 @given(
@@ -65,18 +71,18 @@ def test_grown_equals_tree_rebuilt_from_the_same_leaves(log_cap, log_factor, dat
     cap = 1 << log_cap
     new_cap = cap << log_factor
     colors = data.draw(st.sets(st.integers(min_value=1, max_value=cap)))
-    t = CountingTree(cap)
-    rebuilt = CountingTree(new_cap)
+    t = [0] * (2 * cap)
+    rebuilt = [0] * (2 * new_cap)
     for c in colors:
-        t.add(c, 1)
-        rebuilt.add(c, 1)
-    assert t.grown(new_cap).node == rebuilt.node
+        tree_add(t, c, 1)
+        tree_add(rebuilt, c, 1)
+    assert grown(t, new_cap) == rebuilt
 
 
 def test_grown_refuses_a_narrower_or_uneven_capacity():
     for bad in (2, 12):
         with pytest.raises(ValueError):
-            CountingTree(4).grown(bad)
+            grown([0] * 8, bad)
 
 
 @given(
@@ -85,14 +91,14 @@ def test_grown_refuses_a_narrower_or_uneven_capacity():
     st.integers(min_value=0, max_value=64),
 )
 def test_tree_range_counts_match_model(toggles, a, span):
-    t = CountingTree(64)
+    t = [0] * 128  # capacity 64
     bits = [0] * 65
     for c in toggles:
         delta = -1 if bits[c] else 1
         bits[c] += delta
-        t.add(c, delta)
+        tree_add(t, c, delta)
     b = min(a + span, 65)
-    assert t.count_range(a, b)[0] == sum(bits[a:b])
+    assert count_range(t, a, b)[0] == sum(bits[a:b])
 
 
 # -- fixed-palette coloring -----------------------------------------------------------
@@ -127,11 +133,11 @@ def test_tree_width_follows_the_largest_color_held():
     assert ec.tree == [None] * 40
     for v in range(1, 10):
         g.insert(0, v)  # the star's edges take colors 1..9 in order
-    assert ec.tree[0].cap == 16
-    assert [ec.tree[v].cap for v in range(1, 10)] == [1, 2, 4, 4, 8, 8, 8, 8, 16]
+    assert tree_cap(ec.tree[0]) == 16
+    assert [tree_cap(ec.tree[v]) for v in range(1, 10)] == [1, 2, 4, 4, 8, 8, 8, 8, 16]
     for v in range(1, 10):
         g.delete(0, v)
-    assert ec.tree[0].cap == 16  # a tree never narrows
+    assert tree_cap(ec.tree[0]) == 16  # a tree never narrows
     ec.self_check()
 
 
@@ -145,8 +151,8 @@ def test_insert_delete_round_trip_restores_empty_state(delta):
         assert ec.held == [{}] * 4
     else:
         assert ec.held is None  # fixed mode keeps no color -> handle map
-    assert all(x == 0 for x in ec.tree[0].node)
-    assert all(x == 0 for x in ec.tree[1].node)
+    assert all(x == 0 for x in ec.tree[0])
+    assert all(x == 0 for x in ec.tree[1])
 
 
 def test_path_delete_keeps_other_colors():
@@ -156,12 +162,12 @@ def test_path_delete_keeps_other_colors():
     g.insert(1, 2)
     g.insert(2, 3)
     before = ec.edge_colors()
-    root_before = ec.tree[1].node[1]
+    root_before = ec.tree[1][1]
     g.delete(1, 2)
     after = ec.edge_colors()
     assert after == {e: c for e, c in before.items() if e != (1, 2)}
-    assert ec.tree[1].node[1] == root_before - 1
-    assert ec.tree[2].node[1] == 1
+    assert ec.tree[1][1] == root_before - 1
+    assert ec.tree[2][1] == 1
     assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
@@ -230,7 +236,7 @@ def test_adaptive_range_count_reaches_past_a_small_tree():
     ec = EdgeColoring(g, adaptive=True)
     g.insert(0, 1)
     g.insert(0, 2)
-    assert ec.tree[1].cap == 1
+    assert tree_cap(ec.tree[1]) == 1
     assert ec.range_count(1, 1, 2 * (n - 1) + 1) == 1
     assert ec.range_count(1, 2, 9) == 0  # above the tree: v holds none of them
     assert ec.range_count(0, 2, 11) == 1
@@ -364,8 +370,8 @@ def corrupted_engine():
     g, ec = make_engine("edge-c", 30, 8, seed=1)
     for ev in generate(TraceSpec(30, 8, 300, 2, "uniform-random")):
         g.apply(ev)
-    v = next(v for v, t in enumerate(ec.tree) if t is not None and t.cap > 1)
-    ec.tree[v].node[1] += 1
+    v = next(v for v, t in enumerate(ec.tree) if t is not None and tree_cap(t) > 1)
+    ec.tree[v][1] += 1
     return g, ec, v
 
 
@@ -378,12 +384,12 @@ def test_corrupted_tree_fails_the_rebuild_audit():
     assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
 
 
-def rebuilt_tree_problem(t, colors):
+def rebuilt_tree_problem(node, colors):
     """Reference: ``_tree_problem`` as it was when it rebuilt every row of the
     tree from the held colors, leaves first."""
-    if t is None:
+    if node is None:
         return "holds colors but has no tree" if colors else ""
-    cap, node = t.cap, t.node
+    cap = len(node) >> 1
     bits = [0] * cap
     for c in colors:
         if c is None or not 1 <= c <= cap:
@@ -409,14 +415,14 @@ def cap_8_star():
     ec = EdgeColoring(g)
     for w in range(1, 6):
         g.insert(0, w)
-    assert ec.tree[0].cap == 8
+    assert tree_cap(ec.tree[0]) == 8
     return g, ec
 
 
 def _bump(*indices):
     def corrupt(g, ec):
         for i in indices:
-            ec.tree[0].node[i] += 1
+            ec.tree[0][i] += 1
     return corrupt
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from colorbench import EdgeColoring, new_graph
 from colorbench.harness import TraceSpec, generate, make_engine
 
 N = 20_000
@@ -67,6 +68,31 @@ def test_edge_c_keeps_no_second_copy_of_its_colors():
     # only, 220 B.
     per_edge = replay_bytes_per_edge("edge-c", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
     assert per_edge <= 260, per_edge
+
+
+def tracked_objects_a_perfect_matching_adds(graph):
+    """Objects the collector tracks that inserting edges (0, 1), (2, 3), ... leaves alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    for u in range(0, graph.n - 1, 2):
+        graph.insert(u, u + 1)
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+def test_edge_c_tracks_one_container_per_vertex_with_a_tree():
+    # The bare graph adds a dict per vertex and a handle per edge, about 3,000
+    # objects here. A tree kept as an object holding a node list added two
+    # more per vertex; a tree kept as the bare node list adds one.
+    n = 2000
+    tracked_objects_a_perfect_matching_adds(new_graph(n, 4))  # first-run allocations
+    bare = tracked_objects_a_perfect_matching_adds(new_graph(n, 4))
+    graph = new_graph(n, 4)
+    engine = EdgeColoring(graph)
+    added = tracked_objects_a_perfect_matching_adds(graph)
+    trees = sum(t is not None for t in engine.tree)
+    assert trees == n
+    assert added - bare <= trees, (bare, added)
 
 
 def test_det_vc_keeps_no_second_copy_of_the_adjacency():

@@ -19,6 +19,22 @@ def test_no_assert_statements_under_src():
     assert found == []
 
 
+def test_package_touches_no_collector_setting():
+    # A gain measured with the collector switched off or retuned is not one
+    # the program keeps; the package leaves `gc` to its caller.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno}" for name in names if name == "gc"]
+    assert found == []
+
+
 def test_oracles_import_nothing_from_the_package_but_the_graph():
     # verify.py recomputes from adjacency and colors; reading engine code
     # would let an engine bug hide in its own oracle.

@@ -95,7 +95,7 @@ class EngineMachine(RuleBasedStateMachine):
         if isinstance(eng, RandVertexColoring):
             state = list(eng.hier.level), [list(m.items()) for m in eng.mu]
         elif self.name == "edge-c":
-            trees = [None if t is None else (t.cap, list(t.node)) for t in eng.tree]
+            trees = [None if t is None else list(t) for t in eng.tree]
             held = None if eng.held is None else [list(m.items()) for m in eng.held]
             state = trees, held
         return g.num_edges, g.seq, adjacency, colors, state
