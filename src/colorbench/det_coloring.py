@@ -25,16 +25,16 @@ All threshold comparisons are done in exact integer arithmetic:
 D * (lam*(lam-1))**i <= delta * (lam+1)**i, so no float rounding can ever
 flip a verdict.
 
-The length-0 class of v is all of N(v), which the graph already keeps, so
-the engine stores no copy of it: on v's first insert ``nstar[v][0]`` becomes
-the live keys view of the graph's adjacency dict for v, and updates join and
-leave classes of length 1 and up only. The cell count and the potential phi
-still charge length 0 one entry per endpoint, as if it were stored.
+The classes sit in one flat list, v's length-j class at ``nstar[v*(L+1) + j]``,
+and each vertex's coordinates in a ``bytearray``, which the collector does not
+track. The length-0 class of v is all of N(v), which the graph already keeps:
+slot 0 of v's row is the graph's own adjacency dict for v, and updates join
+and leave classes of length 1 and up only. The cell count and the potential
+phi still charge length 0 one entry per endpoint, as if it were stored.
 
 A prefix class of length 1 and up holds a set only while it has members:
 every empty class is the shared ``NO_NEIGHBORS``, and a class that empties
-returns to it, so memory grows with the occupied (vertex, prefix length)
-classes and not with n*(L+1).
+returns to it, so sets grow with the occupied classes; an empty one costs a slot.
 
 Below ``DELTA_MIN`` the parameter scheme degenerates and a plain greedy
 (delta+1) engine is substituted; ``make_det_engine`` dispatches.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, starmap
 from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
 
-from .errors import DeltaTooSmall, InternalInvariantViolation
+from .errors import DeltaTooSmall, InternalInvariantViolation, InvalidSpec
 from .graph import DynamicGraph, EdgeHandle
 
 DELTA_MIN = 16
@@ -56,35 +56,33 @@ DELTA_MIN = 16
 NO_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
-def _join(classes: List[AbstractSet[int]], j: int, u: int) -> Set[int]:
-    """Add u to prefix class j, creating its set on first use."""
-    cls = classes[j]
+def _join(nstar: List[AbstractSet[int]], k: int, u: int) -> Set[int]:
+    """Add u to the prefix class at nstar[k], creating its set on first use."""
+    cls = nstar[k]
     if cls is NO_NEIGHBORS:
-        cls = classes[j] = set()
+        cls = nstar[k] = set()
     cls.add(u)
     return cls
 
 
-def _leave(classes: List[AbstractSet[int]], j: int, u: int) -> None:
-    """Remove u from prefix class j, releasing the set once it is empty."""
-    cls = classes[j]
+def _leave(nstar: List[AbstractSet[int]], k: int, u: int) -> None:
+    """Remove u from the prefix class at nstar[k], releasing the set once empty."""
+    cls = nstar[k]
     cls.remove(u)
     if not cls:
-        classes[j] = NO_NEIGHBORS
+        nstar[k] = NO_NEIGHBORS
 
 
-def _start_coords(n: int, lam: int, levels: int) -> List[List[int]]:
+def _start_coords(n: int, lam: int, levels: int) -> List[bytearray]:
     """Coordinates of the start coloring: vertex v gets the base-lam digits
     of v mod lam**levels, most significant first, each plus one.
 
     ``product`` counts in that digit order; a fresh one starts every
     lam**levels vertices. (``cycle`` would keep every tuple until the end,
     which doubled set-up time through garbage collection at n=30,000.)
-    The slice copies to the exact length: ``list`` of a 5-tuple keeps a
-    spare slot, 8 B per vertex.
     """
     counters = starmap(product, repeat([range(1, lam + 1)] * levels))
-    return [c[:] for c in map(list, islice(chain.from_iterable(counters), n))]
+    return list(map(bytearray, islice(chain.from_iterable(counters), n)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,8 @@ class DetParams:
         lg_ed = math.log2(eta) + lg_delta
         levels = int(lg_ed / lglg)
         radix = int(2.0 ** (lg_ed / levels))
+        if radix > 255:  # a coordinate is one byte
+            raise InvalidSpec(f"degree bound {delta} needs radix {radix}; det-vc allows 255")
 
         allowed = tuple(
             (delta * (radix + 1) ** i) // ((radix * (radix - 1)) ** i)
@@ -154,12 +154,11 @@ class TupleVertexColoring:
         self.params = DetParams.compute(graph.max_degree)
         n = graph.n
         L = self.params.levels
-        self.coords: List[List[int]] = _start_coords(n, self.params.radix, L)
-        # nstar[v][i] = neighbors sharing v's length-i prefix. Length 0 is all
-        # of N(v): the graph's own keys view, bound on v's first insert.
-        self.nstar: List[List[AbstractSet[int]]] = [
-            [NO_NEIGHBORS] * (L + 1) for _ in range(n)
-        ]
+        self.coords: List[bytearray] = _start_coords(n, self.params.radix, L)
+        # nstar[v * (L + 1) + i] = neighbors sharing v's length-i prefix.
+        # Length 0 is all of N(v): the graph's own adjacency dict.
+        self.nstar: List[AbstractSet[int]] = [NO_NEIGHBORS] * (n * (L + 1))
+        self.nstar[:: L + 1] = graph._adj
         self.phi = 0
         self._queue: deque[int] = deque()
         self._inq = bytearray(n)
@@ -191,17 +190,13 @@ class TupleVertexColoring:
         c0 = self.cells
         u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
-        nu, nv = self.nstar[u], self.nstar[v]
-        if nu[0] is NO_NEIGHBORS:
-            nu[0] = self.graph._adj[u].keys()
-        if nv[0] is NO_NEIGHBORS:
-            nv[0] = self.graph._adj[v].keys()
+        nst, w = self.nstar, self.params.levels + 1
         for j in range(1, i + 1):
-            _join(nu, j, v)
-            _join(nv, j, u)
+            _join(nst, u * w + j, v)
+            _join(nst, v * w + j, u)
         self.phi += 2 * (i + 1)
         self.cells += 2 * (i + 1)
-        if 2 * (i + 1) > 2 * (self.params.levels + 1):
+        if 2 * (i + 1) > 2 * w:
             self.flip_budget_violations += 1
         phi_before = self.phi
 
@@ -222,10 +217,10 @@ class TupleVertexColoring:
         c0 = self.cells
         u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
-        nu, nv = self.nstar[u], self.nstar[v]
+        nst, w = self.nstar, self.params.levels + 1
         for j in range(1, i + 1):
-            _leave(nu, j, v)
-            _leave(nv, j, u)
+            _leave(nst, u * w + j, v)
+            _leave(nst, v * w + j, u)
         self.phi -= 2 * (i + 1)
         self.cells += 2 * (i + 1)
         # Dropping a neighbor can only shrink prefix classes; no repair needed.
@@ -240,11 +235,15 @@ class TupleVertexColoring:
     # -- repair loop -----------------------------------------------------------
 
     def _violating_index(self, x: int) -> int:
-        nx = self.nstar[x]
+        w = self.params.levels + 1
         allowed = self.params.max_allowed
-        for j in range(1, self.params.levels + 1):
-            if len(nx[j]) > allowed[j]:
+        nst, base = self.nstar, x * w
+        for j in range(1, w):
+            size = len(nst[base + j])
+            if size > allowed[j]:
                 return j
+            if not size:  # the classes nest, so every longer one is empty too
+                break
         return 0
 
     def fix_invariant(self) -> Tuple[int, int]:
@@ -270,29 +269,29 @@ class TupleVertexColoring:
         p = self.params
         L, lam, delta = p.levels, p.radix, p.delta
         allowed = p.max_allowed
-        nst = self.nstar
-        nx = nst[x]
+        nst, w = self.nstar, L + 1
+        bx = x * w
         coords = self.coords
         cx = coords[x]
         cells0 = self.cells
         phi0 = self.phi
 
         s_minus = 0
-        for j in range(k, L + 1):
-            sj = nx[j]
+        for j in range(k, w):
+            sj = nst[bx + j]
             for u in sj:
-                _leave(nst[u], j, x)
+                _leave(nst, u * w + j, x)
             s_minus += len(sj)
             self.phi -= 2 * len(sj)
             self.cells += len(sj)
-            nx[j] = NO_NEIGHBORS
+            nst[bx + j] = NO_NEIGHBORS
 
         zeros = self.scratch
         self.cells += lam + 1
         s_plus = 0
-        prefix = nx[k - 1]
-        for j in range(k, L + 1):
-            cj = j - 1  # coordinate list index
+        prefix = nst[bx + k - 1]
+        for j in range(k, w):
+            cj = j - 1  # coordinate index
             if prefix:
                 for u in prefix:
                     zeros[coords[u][cj]] += 1
@@ -323,17 +322,17 @@ class TupleVertexColoring:
                 for u in prefix:
                     if coords[u][cj] == alpha:
                         new_set.add(u)
-                        dj = _join(nst[u], j, x)
+                        dj = _join(nst, u * w + j, x)
                         s_plus += 1
                         if len(dj) > allowed[j] and not self._inq[u]:
                             self._inq[u] = 1
                             self._queue.append(u)
                 self.cells += len(prefix)
                 self.phi += 2 * len(new_set)
-                nx[j] = new_set
+                nst[bx + j] = new_set
                 prefix = new_set
             else:
-                prefix = nx[j]  # empty
+                prefix = NO_NEIGHBORS
 
         if self._violating_index(x):
             raise InternalInvariantViolation(f"repair left vertex {x} violating")

@@ -8,12 +8,13 @@ so their cost is part of every run's time, and the benchmark times them.
 
 The checks of stored state (edge colors, det-vc's prefix counts and classes,
 rand-vc's neighbor sets) do Python-level work only where a check can fail:
-verdict, then walk. Each vertex (for det-vc's class-size bounds, the whole
-recount) first gets a verdict from a few C-level operations on its
-adjacency and stored sets (sizes, set equality or inclusion, counts of
-levels or coordinates). Only a vertex whose verdict fails is walked item by
-item, in the original order, to list its violations; a vertex that passes
-owns none, so the walk reports exactly what a walk of every vertex would.
+verdict, then walk. Each vertex (for det-vc's class sizes and stored
+classes, the whole state) first gets a verdict from a few C-level
+operations on its adjacency and stored sets (sizes, set equality, identity
+or inclusion, counts of levels or coordinates). Only a vertex whose verdict
+fails is walked item by item, in the original order, to list its
+violations; a vertex that passes owns none, so the walk reports exactly
+what a walk of every vertex would.
 A helper called once per vertex is local to its check: the benchmark's
 tracer records a span for every call of a module-level function here.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, repeat
-from operator import attrgetter, countOf, gt, le, not_
+from operator import attrgetter, countOf, gt, is_, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -367,39 +368,57 @@ def check_tuple_state(
     state (recounted if not given). A set of the recounted size whose members
     are all neighbors sharing v's length-j prefix is the class rebuilt from colors.
 
-    Each vertex gets a verdict from C-level checks, one vertex at a time: its
-    stored class sizes are its row of the recount, its length-0 class equals
-    its adjacency, and its coordinates are in range. A vertex that passes has
-    its members scanned only in its nonempty classes of length 1 and up; one
-    that fails is walked in full, every class and coordinate, to list violations.
+    The whole state first gets one C-level verdict: the stored class sizes
+    are the recount, slot 0 of each vertex's row is its adjacency dict, and
+    every coordinate is in range. When it passes, members are scanned only in
+    the nonempty classes of length 1 and up. When it fails, each vertex gets
+    that verdict on its own row, and one that fails it is walked in full,
+    every class and coordinate, to list violations.
     """
     report, counts = recount or check_tuple_invariant(graph, engine)
     bad = list(report.violations)
     p = engine.params
     coords = engine.coords
+    nstar = engine.nstar
+    adj = graph._adj
     radix = p.radix
     width = p.levels + 1
     digits = set(range(1, radix + 1))
-    for v, (classes, adj_v, cv) in enumerate(zip(engine.nstar, graph._adj, coords)):
-        # a list slice: a tuple built from a map is allocated oversized and
-        # shrunk, and the collector counts it as alive once it is freed
-        row = counts[v * width : (v + 1) * width]
-        fine = (
-            list(map(len, classes)) == row
-            and classes[0] == adj_v.keys()
-            and digits.issuperset(cv)
-        )
-        if fine and not row[1]:
-            continue
-        for j in range(1 if fine else 0, width):
-            stored = classes[j]
-            size = row[j]
-            if len(stored) != size or (
-                size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
-            ):
-                bad.append(("prefix-set", v, j, (sorted(stored), size)))
-        if not fine and any(not 1 <= c <= radix for c in cv):
-            bad.append(("coordinate-range", v, tuple(cv), radix))
+
+    def check_class(k: int) -> None:
+        v, j = divmod(k, width)
+        stored, size, adj_v, cv = nstar[k], counts[k], adj[v], coords[v]
+        if len(stored) != size or (
+            size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
+        ):
+            bad.append(("prefix-set", v, j, (sorted(stored), size)))
+
+    if (
+        list(map(len, nstar)) == counts
+        and all(map(is_, nstar[::width], adj))
+        and digits.issuperset(chain.from_iterable(coords))
+    ):
+        owned = counts[:]
+        owned[::width] = repeat(0, graph.n)
+        for k in compress(range(len(owned)), owned):
+            check_class(k)
+    else:
+        for v, (adj_v, cv) in enumerate(zip(adj, coords)):
+            # list slices: a tuple built from a map is allocated oversized and
+            # shrunk, and the collector counts it as alive once it is freed
+            base = v * width
+            row = counts[base : base + width]
+            fine = (
+                list(map(len, nstar[base : base + width])) == row
+                and nstar[base] is adj_v
+                and digits.issuperset(cv)
+            )
+            if fine and not row[1]:
+                continue
+            for k in range(base + 1 if fine else base, base + width):
+                check_class(k)
+            if not fine and any(not 1 <= c <= radix for c in cv):
+                bad.append(("coordinate-range", v, tuple(cv), radix))
     phi = sum(counts)
     if phi != engine.phi:
         bad.append(("potential", None, engine.phi, phi))

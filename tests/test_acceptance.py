@@ -202,7 +202,7 @@ def test_criterion_5_det_invariant_and_iteration_bounds():
             r = g.apply(ev)
             # Invariant 3 audited after every update
             for v in range(200):
-                nv = nstar[v]
+                nv = nstar[v * (L + 1) : (v + 1) * (L + 1)]
                 if any(len(nv[j]) > allowed[j] for j in range(L + 1)):
                     ok = False
             # structural potential step within the update footprint

@@ -8,6 +8,7 @@ import pytest
 from colorbench import (
     DeltaTooSmall,
     GreedyVertexColoring,
+    InvalidSpec,
     TupleVertexColoring,
     make_det_engine,
     new_graph,
@@ -62,6 +63,13 @@ def test_delta_too_small():
         DetParams.compute(15)
 
 
+def test_a_radix_above_one_byte_is_refused():
+    # a coordinate is stored in one byte
+    assert DetParams.compute(2**221).radix == 255
+    with pytest.raises(InvalidSpec, match=f"degree bound {2**222} needs radix 262"):
+        DetParams.compute(2**222)
+
+
 def test_small_delta_falls_back_to_greedy():
     g = new_graph(20, 8)
     eng = make_det_engine(g)
@@ -98,21 +106,27 @@ def test_spread_start_needs_few_repairs_on_a_sparse_trace(seed):
 # -- structural updates -----------------------------------------------------------
 
 
+def row(eng, v):
+    """v's prefix classes, lengths 0 to L, read from the engine's flat list."""
+    w = eng.params.levels + 1
+    return eng.nstar[v * w : (v + 1) * w]
+
+
 def test_insert_differing_first_coordinate_touches_level_zero_only():
     g = new_graph(4, 16)
     eng = TupleVertexColoring(g)
     eng.coords[1][0] = 2
     g.insert(0, 1)
-    assert eng.nstar[0][0] == {1} and eng.nstar[1][0] == {0}
-    assert not eng.nstar[0][1] and not eng.nstar[1][1]
+    assert row(eng, 0)[0].keys() == {1} and row(eng, 1)[0].keys() == {0}
+    assert not row(eng, 0)[1] and not row(eng, 1)[1]
     assert eng.phi == 2
 
 
 def test_insert_identical_tuples_triggers_repair():
     g = new_graph(4, 16)
     eng = TupleVertexColoring(g)
-    eng.coords[0] = [1] * eng.params.levels
-    eng.coords[1] = [1] * eng.params.levels
+    eng.coords[0] = bytearray([1] * eng.params.levels)
+    eng.coords[1] = bytearray([1] * eng.params.levels)
     r = g.insert(0, 1)
     assert r.stats["fix_iterations"] >= 1
     assert eng.coords[0] != eng.coords[1]
@@ -127,11 +141,12 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
     g.attach(None)
     g.insert(2, 3)
     L = eng.params.levels
-    eng.coords[2] = [1] * L
-    eng.coords[3] = [1] * L
-    for j in range(L + 1):
-        eng.nstar[2][j] = {3}
-        eng.nstar[3][j] = {2}
+    eng.coords[2] = bytearray([1] * L)
+    eng.coords[3] = bytearray([1] * L)
+    # length 0 is the graph's adjacency, which already holds the edge
+    for j in range(1, L + 1):
+        eng.nstar[2 * (L + 1) + j] = {3}
+        eng.nstar[3 * (L + 1) + j] = {2}
     eng.phi += 2 * (L + 1)
     for x in (2, 3):
         eng._queue.append(x)
@@ -139,7 +154,7 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
     repairs, rewritten = eng.fix_invariant()
     assert repairs == 1
     # vertex 2 is repaired; vertex 3 keeps its tuple
-    old = [1] * L
+    old = bytearray([1] * L)
     assert eng.coords[3] == old and eng.coords[2] != old
     # smallest index whose threshold a single shared neighbor breaks
     k = next(j for j in range(1, L + 1) if eng.params.max_allowed[j] < 1)
@@ -147,7 +162,7 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
     assert new[: k - 1] == old[: k - 1] and new[k - 1] != old[k - 1]
     assert rewritten == L - k + 1
     # the shared prefix is now exactly k - 1 long
-    assert 3 in eng.nstar[2][k - 1] and 3 not in eng.nstar[2][k]
+    assert 3 in row(eng, 2)[k - 1] and 3 not in row(eng, 2)[k]
     assert verify.check_tuple_state(g, eng).passed
     assert eng.fix_invariant() == (0, 0)
 
@@ -162,7 +177,7 @@ def test_delete_updates_every_shared_prefix_level():
     phi0 = eng.phi
     g.delete(0, 1)
     assert eng.phi == phi0 - 2 * (i + 1)
-    assert all(not s for s in eng.nstar[0])
+    assert all(not s for s in row(eng, 0))
     assert verify.check_tuple_state(g, eng).passed
 
 
@@ -173,12 +188,9 @@ def test_deleting_every_edge_returns_every_class_to_the_shared_empty_set():
     assert eng.fix_iterations_total > 0
     for h in list(g.edges()):
         g.delete(h.lo, h.hi)
-    assert all(cls is NO_NEIGHBORS for classes in eng.nstar for cls in classes[1:])
-    # length 0 is the graph's own neighbour view, now empty
-    assert all(
-        classes[0] == g._adj[v].keys() and not classes[0] and not isinstance(classes[0], set)
-        for v, classes in enumerate(eng.nstar)
-    )
+    assert all(cls is NO_NEIGHBORS for v in range(g.n) for cls in row(eng, v)[1:])
+    # length 0 is the graph's own adjacency, now empty
+    assert all(row(eng, v)[0] is g._adj[v] and not g._adj[v] for v in range(g.n))
     assert eng.phi == 0
     assert verify.check_tuple_state(g, eng).passed
 
@@ -188,10 +200,8 @@ def test_length_zero_class_is_the_graphs_neighbor_view():
     for ev in generate(TraceSpec(200, 32, 3000, 11, "conflict-heavy")):
         g.apply(ev)
     assert any(g._adj[v] for v in range(200)) and eng.fix_iterations_total > 0
-    for v, classes in enumerate(eng.nstar):
-        assert not isinstance(classes[0], set)
-        if g._adj[v]:
-            assert classes[0] == g._adj[v].keys()
+    for v in range(200):
+        assert row(eng, v)[0] is g._adj[v]
     assert verify.check_tuple_state(g, eng).passed
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from colorbench import EdgeColoring, new_graph
+from colorbench import EdgeColoring, new_graph, verify
 from colorbench.harness import TraceSpec, generate, make_engine
 
 N = 20_000
@@ -93,6 +93,41 @@ def test_edge_c_tracks_one_container_per_vertex_with_a_tree():
     trees = sum(t is not None for t in engine.tree)
     assert trees == n
     assert added - bare <= trees, (bare, added)
+
+
+def tracked_objects_alive_after(build):
+    """Objects the collector tracks that ``build()`` leaves alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build()  # kept alive while counted
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+def test_det_vc_tracks_no_container_per_vertex_on_an_empty_graph():
+    # Prefix classes in one flat list and each color in a bytearray, which
+    # the collector does not track: a handful of objects for the engine.
+    # A list of classes and a list of coordinates per vertex added 2n.
+    n = 2000
+    for _ in range(2):  # the first round warms up first-run allocations
+        bare = tracked_objects_alive_after(lambda: new_graph(n, 32))
+        built = tracked_objects_alive_after(lambda: make_engine("det-vc", n, 32))
+    assert built - bare <= 16, (bare, built)
+
+
+def test_det_vc_tracks_one_container_per_stored_prefix_set():
+    # Length 0 is the graph's adjacency dict, so an insert adds a tracked
+    # object only for each prefix class of length 1 and up that it fills.
+    n = 2000
+    tracked_objects_a_perfect_matching_adds(new_graph(n, 32))  # first-run allocations
+    bare = tracked_objects_a_perfect_matching_adds(new_graph(n, 32))
+    graph, engine = make_engine("det-vc", n, 32)
+    added = tracked_objects_a_perfect_matching_adds(graph)
+    counts = verify.check_tuple_invariant(graph, engine)[1]
+    w = engine.params.levels + 1
+    stored = sum(map(bool, counts)) - sum(map(bool, counts[::w]))  # nonempty, length >= 1
+    assert stored > n
+    assert added - bare <= stored, (bare, added, stored)
 
 
 def test_det_vc_keeps_no_second_copy_of_the_adjacency():

@@ -280,11 +280,12 @@ def test_deep_det_vc_audit_recounts_the_prefix_classes_once(monkeypatch):
     g, eng = harness.make_engine("det-vc", 40, 16)
     for ev in generate(TraceSpec(40, 16, 800, 3, "uniform-random")):
         g.apply(ev)
-    v = next(v for v in range(40) if eng.nstar[v][1])
-    eng.nstar[v][1].pop()  # a stored class loses a member
+    w = eng.params.levels + 1
+    v = next(v for v in range(40) if eng.nstar[v * w + 1])
+    eng.nstar[v * w + 1].pop()  # a stored class loses a member
     a = next(a for a in range(40) if g._adj[a])
     b = next(iter(g._adj[a]))
-    eng.coords[b] = list(eng.coords[a])  # and an edge breaks the last bound
+    eng.coords[b] = bytearray(eng.coords[a])  # and an edge breaks the last bound
     recount = verify.check_tuple_invariant
     calls = []
 
@@ -577,6 +578,8 @@ def test_cli_names_the_line_of_a_refused_update_and_leaves_no_output(
         (["--engine", "rand-vc", "--delta", "-3"], "delta must be nonnegative, got -3"),
         (["--engine", "rand-vc", "--n", "-2"], "n must be nonnegative, got -2"),
         (["--engine", "rand-vc", "--audit-every", "-1"], "audit-every must be nonnegative, got -1"),
+        (["--engine", "det-vc", "--delta", str(2**222)],
+         f"degree bound {2**222} needs radix 262; det-vc allows 255"),
     ],
 )
 def test_cli_usage_error_exits_two_and_leaves_no_output(tmp_path, capsys, flags, message):

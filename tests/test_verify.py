@@ -51,6 +51,16 @@ def test_hierarchy_auditor_flags_injected_violation():
     assert not report.passed
 
 
+def _slot(eng, v, j):
+    """Index of v's length-j prefix class in det-vc's flat class list."""
+    return v * (eng.params.levels + 1) + j
+
+
+def _row(eng, v):
+    """v's prefix classes, lengths 0 to L."""
+    return eng.nstar[_slot(eng, v, 0) : _slot(eng, v + 1, 0)]
+
+
 def test_tuple_auditor_flags_corrupted_set():
     g, eng = make_engine("det-vc", 40, 16, seed=2)
     for ev in generate(TraceSpec(40, 16, 800, 3, "uniform-random")):
@@ -58,9 +68,9 @@ def test_tuple_auditor_flags_corrupted_set():
     assert verify.check_tuple_state(g, eng).passed
     # length 0 is the graph's adjacency; corrupt a class the engine owns
     victim, j = next(
-        (v, j) for v in range(40) for j in range(1, eng.params.levels + 1) if eng.nstar[v][j]
+        (v, j) for v in range(40) for j in range(1, eng.params.levels + 1) if _row(eng, v)[j]
     )
-    eng.nstar[victim][j].pop()
+    _row(eng, victim)[j].pop()
     report = verify.check_tuple_state(g, eng)
     assert not report.passed
     assert any(v[0] in ("prefix-set", "potential") for v in report.violations)
@@ -86,7 +96,7 @@ def rebuilt_tuple_state(graph, engine):
             for j in range(i + 1):
                 fresh[j].add(u)
         for j in range(L + 1):
-            stored = engine.nstar[v][j]
+            stored = set(_row(engine, v)[j])
             if stored != fresh[j]:
                 bad.append(("prefix-set", v, j, (sorted(stored), sorted(fresh[j]))))
             if j and not fresh[j] <= fresh[j - 1]:
@@ -119,9 +129,9 @@ def _owned_class(eng, rng):
     """A random nonempty (vertex, length >= 1) class the engine owns."""
     classes = [
         (v, j)
-        for v in range(len(eng.nstar))
+        for v in range(len(eng.coords))
         for j in range(1, eng.params.levels + 1)
-        if eng.nstar[v][j]
+        if _row(eng, v)[j]
     ]
     return rng.choice(classes)
 
@@ -129,23 +139,23 @@ def _owned_class(eng, rng):
 def _add_non_neighbor(g, eng, rng):
     v, j = _owned_class(eng, rng)
     w = rng.choice([w for w in range(g.n) if w != v and w not in g._adj[v]])
-    eng.nstar[v][j].add(w)
+    _row(eng, v)[j].add(w)
 
 
 def _fill_empty_class(g, eng, rng):
     v = rng.choice([v for v in range(g.n) if g._adj[v]])
     j = eng.params.levels
-    eng.nstar[v][j] = {rng.choice(list(g._adj[v]))}
+    eng.nstar[_slot(eng, v, j)] = {rng.choice(list(g._adj[v]))}
 
 
 def _remove_member(g, eng, rng):
     v, j = _owned_class(eng, rng)
-    eng.nstar[v][j].remove(rng.choice(sorted(eng.nstar[v][j])))
+    _row(eng, v)[j].remove(rng.choice(sorted(_row(eng, v)[j])))
 
 
 def _swap_for_non_neighbor(g, eng, rng):
     v, j = _owned_class(eng, rng)
-    cls = eng.nstar[v][j]
+    cls = _row(eng, v)[j]
     cls.remove(rng.choice(sorted(cls)))
     cls.add(rng.choice([w for w in range(g.n) if w not in g._adj[v]]))
 
@@ -156,9 +166,9 @@ def _swap_for_other_neighbor(g, eng, rng):
         (v, j)
         for v in range(g.n)
         for j in range(1, eng.params.levels + 1)
-        if eng.nstar[v][j] and len(g._adj[v]) > len(eng.nstar[v][j])
+        if _row(eng, v)[j] and len(g._adj[v]) > len(_row(eng, v)[j])
     ])
-    cls = eng.nstar[v][j]
+    cls = _row(eng, v)[j]
     cls.remove(rng.choice(sorted(cls)))
     cls.add(rng.choice(sorted(set(g._adj[v]) - cls)))
 
@@ -211,14 +221,14 @@ def test_tuple_state_agrees_with_the_class_rebuild_on_corrupted_states(corrupt):
 def test_tuple_state_reports_a_prefix_class_with_its_recounted_size():
     g, eng = _det_state(3)
     v, j = _owned_class(eng, random.Random(0))
-    size = len(eng.nstar[v][j])
-    eng.nstar[v][j].pop()
+    size = len(_row(eng, v)[j])
+    _row(eng, v)[j].pop()
     report = verify.check_tuple_state(g, eng)
-    assert ("prefix-set", v, j, (sorted(eng.nstar[v][j]), size)) in report.violations
+    assert ("prefix-set", v, j, (sorted(_row(eng, v)[j]), size)) in report.violations
     # a standalone call recounts, so a broken bound is still reported
     a = next(a for a in range(g.n) if g._adj[a])
     b = next(iter(g._adj[a]))
-    eng.coords[b] = list(eng.coords[a])
+    eng.coords[b] = bytearray(eng.coords[a])
     report = verify.check_tuple_state(g, eng)
     assert ("degree-bound", a, eng.params.levels, (1, 0)) in report.violations
 
@@ -486,7 +496,7 @@ def walked_tuple_state(graph, engine, recount):
     for v in range(graph.n):
         cv = coords[v]
         adj_v = graph._adj[v]
-        for j, (stored, size) in enumerate(zip(engine.nstar[v], counts[v])):
+        for j, (stored, size) in enumerate(zip(_row(engine, v), counts[v])):
             if len(stored) != size or (
                 size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
             ):
@@ -546,10 +556,10 @@ def _break_a_length_one_bound(g, eng, rng):
     coords = eng.coords
     v = max(
         (v for v in range(g.n) if len(g._adj[v]) > cap),
-        key=lambda v: (len(eng.nstar[v][1]), -v),
+        key=lambda v: (len(_row(eng, v)[1]), -v),
     )
     outside = sorted(u for u in g._adj[v] if coords[u][0] != coords[v][0])
-    for u in rng.sample(outside, cap + 1 - len(eng.nstar[v][1])):
+    for u in rng.sample(outside, cap + 1 - len(_row(eng, v)[1])):
         coords[u][0] = coords[v][0]
 
 
@@ -563,7 +573,7 @@ def _copy_a_neighbors_tuple(g, eng, rng):
         for b in sorted(g._adj[a])
         if a < b and coords[a][0] == coords[b][0]
     ])
-    coords[b] = list(coords[a])
+    coords[b] = bytearray(coords[a])
 
 
 def _coordinate_out_of_range(g, eng, rng):
@@ -577,7 +587,7 @@ def _length_zero_class_with_a_non_neighbor(g, eng, rng):
     cls = set(g._adj[v])
     cls.remove(rng.choice(sorted(cls)))
     cls.add(rng.choice([w for w in range(g.n) if w != v and w not in g._adj[v]]))
-    eng.nstar[v][0] = cls
+    eng.nstar[_slot(eng, v, 0)] = cls
 
 
 def _lie_about_a_level(g, eng, rng):
@@ -774,8 +784,8 @@ def _overlong_tuple_with_a_neighbors_color(g, eng, rng):
     a = rng.choice([v for v in range(g.n) if g._adj[v]])
     b = rng.choice(sorted(g._adj[a]))
     L = eng.params.levels
-    eng.coords[a] = [1] * (L - 1) + [2]
-    eng.coords[b] = [1] * L + [2]
+    eng.coords[a] = bytearray([1] * (L - 1) + [2])
+    eng.coords[b] = bytearray([1] * L + [2])
     assert eng.color_of(a) == eng.color_of(b)
 
 
@@ -784,8 +794,8 @@ def _carry_into_a_neighbors_color(g, eng, rng):
     a = rng.choice([v for v in range(g.n) if g._adj[v]])
     b = rng.choice(sorted(g._adj[a]))
     L = eng.params.levels
-    eng.coords[a] = [1] * (L - 1) + [eng.params.radix + 1]
-    eng.coords[b] = [1] * (L - 2) + [2, 1]
+    eng.coords[a] = bytearray([1] * (L - 1) + [eng.params.radix + 1])
+    eng.coords[b] = bytearray([1] * (L - 2) + [2, 1])
     assert eng.color_of(a) == eng.color_of(b)
 
 
