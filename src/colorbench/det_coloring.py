@@ -239,11 +239,8 @@ class TupleVertexColoring:
         allowed = self.params.max_allowed
         nst, base = self.nstar, x * w
         for j in range(1, w):
-            size = len(nst[base + j])
-            if size > allowed[j]:
+            if len(nst[base + j]) > allowed[j]:
                 return j
-            if not size:  # the classes nest, so every longer one is empty too
-                break
         return 0
 
     def fix_invariant(self) -> Tuple[int, int]:

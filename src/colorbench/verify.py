@@ -371,9 +371,10 @@ def check_tuple_state(
     The whole state first gets one C-level verdict: the stored class sizes
     are the recount, slot 0 of each vertex's row is its adjacency dict, and
     every coordinate is in range. When it passes, members are scanned only in
-    the nonempty classes of length 1 and up. When it fails, each vertex gets
-    that verdict on its own row, and one that fails it is walked in full,
-    every class and coordinate, to list violations.
+    the nonempty classes of length 1 and up. When it fails, every vertex is
+    walked in full, every class and coordinate, to list violations.
+    Prefixes are compared digit by digit when their slices differ, so a
+    coordinate row that is not a bytearray still matches an equal one.
     """
     report, counts = recount or check_tuple_invariant(graph, engine)
     bad = list(report.violations)
@@ -387,9 +388,14 @@ def check_tuple_state(
 
     def check_class(k: int) -> None:
         v, j = divmod(k, width)
-        stored, size, adj_v, cv = nstar[k], counts[k], adj[v], coords[v]
+        stored, size, adj_v, pre = nstar[k], counts[k], adj[v], coords[v][:j]
         if len(stored) != size or (
-            size and any(u not in adj_v or coords[u][:j] != cv[:j] for u in stored)
+            size
+            and any(
+                u not in adj_v
+                or (coords[u][:j] != pre and list(coords[u][:j]) != list(pre))
+                for u in stored
+            )
         ):
             bad.append(("prefix-set", v, j, (sorted(stored), size)))
 
@@ -403,21 +409,10 @@ def check_tuple_state(
         for k in compress(range(len(owned)), owned):
             check_class(k)
     else:
-        for v, (adj_v, cv) in enumerate(zip(adj, coords)):
-            # list slices: a tuple built from a map is allocated oversized and
-            # shrunk, and the collector counts it as alive once it is freed
-            base = v * width
-            row = counts[base : base + width]
-            fine = (
-                list(map(len, nstar[base : base + width])) == row
-                and nstar[base] is adj_v
-                and digits.issuperset(cv)
-            )
-            if fine and not row[1]:
-                continue
-            for k in range(base + 1 if fine else base, base + width):
+        for v, cv in enumerate(coords):
+            for k in range(v * width, v * width + width):
                 check_class(k)
-            if not fine and any(not 1 <= c <= radix for c in cv):
+            if any(not 1 <= c <= radix for c in cv):
                 bad.append(("coordinate-range", v, tuple(cv), radix))
     phi = sum(counts)
     if phi != engine.phi:

@@ -233,6 +233,21 @@ def test_tuple_state_reports_a_prefix_class_with_its_recounted_size():
     assert ("degree-bound", a, eng.params.levels, (1, 0)) in report.violations
 
 
+@pytest.mark.parametrize("corrupt", [None, _swap_for_other_neighbor, _change_coordinate])
+def test_tuple_state_compares_a_list_row_by_its_digits(corrupt):
+    # a row held in a list matches an equal bytearray row, so a state whose
+    # odd rows are lists gets the same violations as the all-bytearray state
+    for seed in range(6):
+        g, eng = _det_state(seed)
+        if corrupt:
+            corrupt(g, eng, random.Random(seed))
+        expected = verify.check_tuple_state(g, eng).violations
+        if corrupt is None:
+            assert expected == []
+        eng.coords[1::2] = map(list, eng.coords[1::2])
+        assert verify.check_tuple_state(g, eng).violations == expected
+
+
 def dict_edge_audit(graph, engine):
     """Reference: edge-c's audit as it was, on the ``edge_colors()`` snapshot:
     the dict-based properness scan, then ``audit_engine``'s palette loop.
