@@ -138,8 +138,11 @@ class DynamicGraph:
                 "the graph and the engine are out of step"
             )
         u, v = event.u, event.v
-        self._check_vertex(u)
-        self._check_vertex(v)
+        n = self.n
+        if not 0 <= u < n:
+            raise UnknownVertex(f"vertex {u} outside [0, {n})")
+        if not 0 <= v < n:
+            raise UnknownVertex(f"vertex {v} outside [0, {n})")
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
         lo, hi = (u, v) if u < v else (v, u)

@@ -299,10 +299,15 @@ def audit_engine(
             reports.append(("upper-counts", verify.AuditReport.from_violations(mu_bad)))
     elif name == "det-vc":
         recount = verify.check_tuple_invariant(graph, engine)
-        reports.append(("proper-vertex", verify.check_tuple_proper(graph, engine, recount)))
+        in_range = verify.coords_in_range(engine)
+        reports.append(
+            ("proper-vertex", verify.check_tuple_proper(graph, engine, recount, in_range))
+        )
         reports.append(("tuple-invariant", recount[0]))
         if deep:
-            reports.append(("tuple-state", verify.check_tuple_state(graph, engine, recount)))
+            reports.append(
+                ("tuple-state", verify.check_tuple_state(graph, engine, recount, in_range))
+            )
     elif name == "edge-c":
         proper, bad = verify.check_edge_coloring(graph, engine.palette)
         reports.append(("proper-edge", proper))

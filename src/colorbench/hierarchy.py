@@ -13,6 +13,23 @@ band can absorb it, or down to the maximum level that still supports it.
 A move listener observes each move before the sets are restructured, which
 is what the color-table bookkeeping of the randomized engine hangs off.
 
+Each kind of change moves a vertex's two counts (its below set, and its
+upper count: below set plus the set at its own level) one way only, so it
+can break only one bound, and only that bound is checked:
+
+  - an insert grows its endpoints' counts: only their upper bound;
+  - a delete shrinks them: only their lower bound;
+  - a promotion takes the mover out of its neighbors' below sets and upper
+    counts: only their lower bound;
+  - a demotion puts the mover into their below sets and upper counts: only
+    their upper bound.
+
+Skipping the other check leaves the queues exactly as a check of both
+bounds would: every violator is queued from the change that made it one
+(the restore loop runs until both queues are empty, and a moved vertex
+lands inside its band or raises), so a bound the change could not break is
+either kept or already queued, and its check would append nothing.
+
 Each neighbor set is a dict ``{neighbor: None}``: ``below[v]`` holds v's
 neighbors strictly below its level, ``same[v][j]`` those at level j >= v's.
 Adding, removing and testing a neighbor are O(1) expected, and ``len()`` is
@@ -27,8 +44,7 @@ order they last arrived.
 Memory grows with the occupied (vertex, level) classes, not with n*(L+1):
 ``below[v]`` is the shared read-only ``EMPTY_NEIGHBORS`` until v gains a
 lower neighbor, and ``same[v]`` maps a level to its set only once a neighbor
-at that level arrives. Every write goes through ``_home``, which creates the
-set.
+at that level arrives. A write to a set not yet created creates it.
 
 A vertex leaves level 4 only with more than beta**4 neighbors at or below
 its level, so when beta**4 is at least the degree bound (n - 1 in adaptive
@@ -129,14 +145,6 @@ class LevelPartition:
         lv = self.level[v]
         return lv > BOTTOM_LEVEL and len(self.below[v]) < self.pow[lv - 5]
 
-    def _recheck(self, v: int) -> None:
-        if not self._in_q2[v] and self.violates_upper(v):
-            self._in_q2[v] = 1
-            self._q2.append(v)
-        if not self._in_q1[v] and self.violates_lower(v):
-            self._in_q1[v] = 1
-            self._q1.append(v)
-
     # -- structural updates ------------------------------------------------------
 
     def on_structural_update(self, handle: EdgeHandle, kind: str) -> List[Tuple[int, int, int]]:
@@ -148,40 +156,47 @@ class LevelPartition:
         if self.dormant:
             self.cells_touched += 2  # the link or unlink a stored set would cost
             return []
+        level, below, same, pow_ = self.level, self.below, self.same, self.pow
+        lo, hi = handle.lo, handle.hi
         if kind == INSERT:
-            self._link(handle)
+            in_q2 = self._in_q2
+            for v, u in ((lo, hi), (hi, lo)):
+                lv, lu = level[v], level[u]
+                if lu < lv:
+                    nbrs = below[v]
+                    if nbrs is EMPTY_NEIGHBORS:
+                        nbrs = below[v] = {}
+                    nbrs[u] = None
+                    at = same[v].get(lv, EMPTY_NEIGHBORS)
+                else:
+                    same_v = same[v]
+                    at = same_v.get(lu)
+                    if at is None:
+                        at = same_v[lu] = {}
+                    at[u] = None
+                    if lu > lv:
+                        continue  # filed above v's band: neither count moved
+                # Only v's upper bound can break.
+                if len(below[v]) + len(at) > pow_[lv] and not in_q2[v]:
+                    in_q2[v] = 1
+                    self._q2.append(v)
         elif kind == DELETE:
-            self._unlink(handle)
+            in_q1 = self._in_q1
+            for v, u in ((lo, hi), (hi, lo)):
+                lv, lu = level[v], level[u]
+                if lu >= lv:
+                    del same[v][lu][u]
+                    continue  # the upper count fell or held: no bound can break
+                nbrs = below[v]
+                del nbrs[u]
+                # Only v's lower bound can break.
+                if len(nbrs) < pow_[lv - 5] and not in_q1[v]:
+                    in_q1[v] = 1
+                    self._q1.append(v)
         else:
             raise ValueError(f"unknown update kind {kind!r}")
-        self._recheck(handle.lo)
-        self._recheck(handle.hi)
-        return self._restore()
-
-    def _home(self, owner: int, neighbor_level: int) -> Neighbors:
-        """owner's set for a neighbor at neighbor_level, created on first use."""
-        if neighbor_level < self.level[owner]:
-            nbrs = self.below[owner]
-            if nbrs is EMPTY_NEIGHBORS:
-                nbrs = self.below[owner] = {}
-            return nbrs
-        same = self.same[owner]
-        nbrs = same.get(neighbor_level)
-        if nbrs is None:
-            nbrs = same[neighbor_level] = {}
-        return nbrs
-
-    def _link(self, h: EdgeHandle) -> None:
-        lo, hi = h.lo, h.hi
-        self._home(lo, self.level[hi])[hi] = None
-        self._home(hi, self.level[lo])[lo] = None
         self.cells_touched += 2
-
-    def _unlink(self, h: EdgeHandle) -> None:
-        lo, hi = h.lo, h.hi
-        del self._home(lo, self.level[hi])[hi]
-        del self._home(hi, self.level[lo])[lo]
-        self.cells_touched += 2
+        return self._restore() if self._q2 or self._q1 else []
 
     def _restore(self) -> List[Tuple[int, int, int]]:
         moves: List[Tuple[int, int, int]] = []
@@ -207,14 +222,15 @@ class LevelPartition:
 
     def promote(self, x: int) -> int:
         """Move an invariant-2 violator up; returns the landing level."""
-        i = self.level[x]
-        same_x = self.same[x]
-        cum = len(self.below[x])
+        level, below, same, pow_ = self.level, self.below, self.same, self.pow
+        i = level[x]
+        same_x = same[x]
+        cum = len(below[x])
         k = 0
         for j in range(i, self.L + 1):
             cum += len(same_x.get(j, EMPTY_NEIGHBORS))
             self.cells_touched += 1
-            if j > i and cum <= self.pow[j]:
+            if j > i and cum <= pow_[j]:
                 k = j
                 break
         if not k:
@@ -225,60 +241,115 @@ class LevelPartition:
         if self.move_listener is not None:
             self.move_listener(x, i, k)
 
-        self.level[x] = k  # first, so that _home files every band j < k as below
+        # Every band j < k becomes part of x's below set.
+        level[x] = k
+        below_x = below[x]
         for j in range(i, k):
             band = same_x.pop(j, None)
             if band is not None:
-                self._home(x, j).update(band)
-            self.cells_touched += 1
+                if below_x is EMPTY_NEIGHBORS:
+                    below_x = below[x] = {}
+                below_x.update(band)
+        self.cells_touched += k - i
 
         # Re-home x in every neighbor at level <= k; bands above k keep x below.
-        for u in self.below[x]:
-            self._rehome_twin(u, x, i, k)
-        for u in same_x.get(k, EMPTY_NEIGHBORS):
-            self._rehome_twin(u, x, i, k)
-        self._recheck(x)
+        # A neighbor u above i loses x from its below set, so only u's lower
+        # bound can break; one at or below i keeps both counts or sheds x from
+        # its upper count.
+        in_q1, q1 = self._in_q1, self._q1
+        moved = 0
+        for nbrs in (below_x, same_x.get(k, EMPTY_NEIGHBORS)):
+            moved += len(nbrs)
+            for u in nbrs:
+                lu = level[u]
+                same_u = same[u]
+                dst = same_u.get(k)
+                if dst is None:
+                    dst = same_u[k] = {}
+                if lu > i:
+                    src = below[u]
+                    del src[x]
+                    dst[x] = None
+                    if len(src) < pow_[lu - 5] and not in_q1[u]:
+                        in_q1[u] = 1
+                        q1.append(u)
+                else:
+                    del same_u[i][x]
+                    dst[x] = None
+        self.cells_touched += moved
         self._check_landing(x)
         return k
 
     def demote(self, x: int) -> int:
         """Move an invariant-1 violator down; returns the landing level."""
-        i = self.level[x]
-        same_x = self.same[x]
-        below_x = self.below[x]
+        level, below, same, pow_ = self.level, self.below, self.same, self.pow
+        i = level[x]
+        same_x = same[x]
+        below_x = below[x]
 
         counts = [0] * (self.L + 1)
-        level = self.level
         for u in below_x:
             counts[level[u]] += 1
-            self.cells_touched += 1
+        self.cells_touched += len(below_x)
 
         k = BOTTOM_LEVEL
         acc = len(below_x)
         for j in range(i - 1, BOTTOM_LEVEL, -1):
             acc -= counts[j]  # now |N_x(4, j-1)|
             self.cells_touched += 1
-            if acc >= self.pow[j - 1]:
+            if acc >= pow_[j - 1]:
                 k = j
                 break
 
         if self.move_listener is not None:
             self.move_listener(x, i, k)
 
-        level[x] = k  # first, so that _home files each neighbor by the new level
+        # Each below neighbor at level >= k joins x's set for its level.
+        level[x] = k
         for u in list(below_x):
-            ju = level[u]
-            if ju >= k:
+            lu = level[u]
+            if lu >= k:
                 del below_x[u]
-                self._home(x, ju)[u] = None
+                nbrs = same_x.get(lu)
+                if nbrs is None:
+                    nbrs = same_x[lu] = {}
+                nbrs[u] = None
                 self.cells_touched += 1
 
+        # Re-home x in every neighbor at level <= i; x stays below the rest.
+        # A neighbor below k only moves x between two bands above its own;
+        # one at k up to i - 1 gains x in its upper count, so only its upper
+        # bound can break; one at i moves x within its upper count.
         for u in below_x:
-            self._rehome_twin(u, x, i, k)
+            same_u = same[u]
+            del same_u[i][x]
+            dst = same_u.get(k)
+            if dst is None:
+                dst = same_u[k] = {}
+            dst[x] = None
+        moved = len(below_x)
+        in_q2, q2 = self._in_q2, self._q2
         for j in range(k, i + 1):
-            for u in same_x.get(j, EMPTY_NEIGHBORS):
-                self._rehome_twin(u, x, i, k)
-        self._recheck(x)
+            nbrs = same_x.get(j, EMPTY_NEIGHBORS)
+            moved += len(nbrs)
+            for u in nbrs:
+                same_u = same[u]
+                del same_u[i][x]
+                if j == k:
+                    dst = same_u.get(k)
+                    if dst is None:
+                        dst = same_u[k] = {}
+                else:
+                    dst = below[u]
+                    if dst is EMPTY_NEIGHBORS:
+                        dst = below[u] = {}
+                dst[x] = None
+                if j < i and (
+                    len(below[u]) + len(same_u.get(j, EMPTY_NEIGHBORS)) > pow_[j]
+                ) and not in_q2[u]:
+                    in_q2[u] = 1
+                    q2.append(u)
+        self.cells_touched += moved
         self._check_landing(x)
         return k
 
@@ -292,13 +363,3 @@ class LevelPartition:
                 f"vertex {x} landed at level {k} outside its band: "
                 f"{below} below, {at} at its level"
             )
-
-    def _rehome_twin(self, u: int, x: int, old: int, new: int) -> None:
-        """Move x between neighbor u's sets after x moved old -> new."""
-        src = self._home(u, old)
-        dst = self._home(u, new)
-        if src is not dst:
-            del src[x]
-            dst[x] = None
-            self.cells_touched += 1
-            self._recheck(u)

@@ -11,6 +11,10 @@ descend strictly and die out within the level range.
 
 Adaptive mode clamps every vertex's palette to {1, ..., degree+1} and
 recolors a vertex whose color an edge deletion strands above that bound.
+
+The color multiplicity tables ``mu`` are written in place inside each loop
+that changes them, not through a helper: on an active hierarchy these loops
+run once per endpoint or neighbor of every update, move and recolor.
 """
 
 from __future__ import annotations
@@ -87,25 +91,47 @@ class RandVertexColoring:
 
     def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
         c0, h0 = self.cells, self.hier.cells_touched
-        self._edge_tables(h, self._bump)
+        lo, hi = h.lo, h.hi
+        chi, mu, level = self.chi, self.mu, self.hier.level
+        # Count the new edge in the endpoints' upper tables while the levels
+        # are still current: an endpoint tracks the other's color iff the
+        # other sits at its level or above.
+        c_lo, c_hi = chi[lo], chi[hi]
+        if level[hi] >= level[lo]:
+            m = mu[lo]
+            m[c_hi] = m.get(c_hi, 0) + 1
+        if level[lo] >= level[hi]:
+            m = mu[hi]
+            m[c_lo] = m.get(c_lo, 0) + 1
+        self.cells += 2
         moves = self.hier.on_structural_update(h, "+")
         chain: List[Tuple[int, int]] = []
         pool_min = 0
-        if self.chi[h.lo] == self.chi[h.hi]:
-            x = h.lo if self.tau[h.lo] >= self.tau[h.hi] else h.hi
+        if c_lo == c_hi:
+            x = lo if self.tau[lo] >= self.tau[hi] else hi
             chain, pool_min = self.recolor(x)
         return self._receipt(moves, chain, pool_min, c0, h0)
 
     def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
         c0, h0 = self.cells, self.hier.cells_touched
-        self._edge_tables(h, self._drop)
+        lo, hi = h.lo, h.hi
+        chi, mu, level = self.chi, self.mu, self.hier.level
+        for v, u in ((lo, hi), (hi, lo)):
+            if level[u] >= level[v]:
+                m, c = mu[v], chi[u]
+                left = m[c] - 1
+                if left:
+                    m[c] = left
+                else:
+                    del m[c]
+        self.cells += 2
         moves = self.hier.on_structural_update(h, "-")
         chain: List[Tuple[int, int]] = []
         pool_min = 0
         if self.adaptive:
             # A shrunken palette may strand either endpoint's color.
-            for x in (h.lo, h.hi):
-                if self.chi[x] > self._palette_limit(x):
+            for x in (lo, hi):
+                if chi[x] > self._palette_limit(x):
                     part, pmin = self.recolor(x)
                     chain += part
                     pool_min = min(pool_min, pmin) if pool_min else pmin
@@ -166,10 +192,16 @@ class RandVertexColoring:
         if c > self.max_color_seen:
             self.max_color_seen = c
 
+        mu = self.mu
         for nbrs in (below, hl.same_list(v, i)):
             for w in nbrs:
-                self._drop(w, old)
-                self._bump(w, c)
+                m = mu[w]
+                left = m[old] - 1
+                if left:
+                    m[old] = left
+                else:
+                    del m[old]
+                m[c] = m.get(c, 0) + 1
             self.cells += 2 * len(nbrs)
 
         pool_min = len(pool)
@@ -207,33 +239,6 @@ class RandVertexColoring:
 
     # -- color table maintenance ----------------------------------------------------
 
-    def _edge_tables(self, h: EdgeHandle, op) -> None:
-        """Count an arriving/departing edge in the endpoints' upper tables.
-
-        Runs before the hierarchy reacts, so levels are still current; an
-        endpoint tracks the other's color iff the other sits at its level
-        or above.
-        """
-        level = self.hier.level
-        lu, lv = level[h.lo], level[h.hi]
-        if lv >= lu:
-            op(h.lo, self.chi[h.hi])
-        if lu >= lv:
-            op(h.hi, self.chi[h.lo])
-        self.cells += 2
-
-    def _bump(self, w: int, c: int) -> None:
-        m = self.mu[w]
-        m[c] = m.get(c, 0) + 1
-
-    def _drop(self, w: int, c: int) -> None:
-        m = self.mu[w]
-        left = m[c] - 1
-        if left:
-            m[c] = left
-        else:
-            del m[c]
-
     def _on_level_move(self, x: int, i: int, k: int) -> None:
         """Re-point the color multiplicity tables across one level move.
 
@@ -242,17 +247,24 @@ class RandVertexColoring:
         tracks x's color iff level(x) >= level(y), and vice versa; the
         branches below are exactly the membership flips the move causes.
         """
-        chi = self.chi
+        chi, mu = self.chi, self.mu
         hl = self.hier
         cx = chi[x]
+        mu_x = mu[x]
         if k > i:
             for j in range(i, k + 1):
                 nbrs = hl.same_list(x, j)
                 for y in nbrs:
                     if j > i:
-                        self._bump(y, cx)
+                        m = mu[y]
+                        m[cx] = m.get(cx, 0) + 1
                     if j < k:
-                        self._drop(x, chi[y])
+                        cy = chi[y]
+                        left = mu_x[cy] - 1
+                        if left:
+                            mu_x[cy] = left
+                        else:
+                            del mu_x[cy]
                 self.cells += len(nbrs)
         else:
             level = hl.level
@@ -260,9 +272,15 @@ class RandVertexColoring:
                 for y in nbrs:
                     jy = level[y]
                     if k < jy <= i:
-                        self._drop(y, cx)
+                        m = mu[y]
+                        left = m[cx] - 1
+                        if left:
+                            m[cx] = left
+                        else:
+                            del m[cx]
                     if k <= jy < i:
-                        self._bump(x, chi[y])
+                        cy = chi[y]
+                        mu_x[cy] = mu_x.get(cy, 0) + 1
                 self.cells += len(nbrs)
 
     # -- snapshots ----------------------------------------------------------------

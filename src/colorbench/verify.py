@@ -331,13 +331,25 @@ def check_tuple_invariant(graph: DynamicGraph, engine) -> Tuple[AuditReport, Lis
     return AuditReport.from_violations(bad), counts
 
 
+def coords_in_range(engine) -> bool:
+    """Whether every coordinate of det-vc's tuples lies in [1, radix].
+
+    One C-level verdict over the whole state, which an audit computes once
+    and hands to both ``check_tuple_proper`` and ``check_tuple_state``.
+    """
+    digits = set(range(1, engine.params.radix + 1))
+    return digits.issuperset(chain.from_iterable(engine.coords))
+
+
 def check_tuple_proper(
     graph: DynamicGraph,
     engine,
     recount: Optional[Tuple[AuditReport, List[int]]] = None,
+    in_range: Optional[bool] = None,
 ) -> AuditReport:
     """Properness of det-vc's tuple colors, read off ``recount``, a
     ``check_tuple_invariant`` result for the same state (recounted if not given).
+    ``in_range`` is ``coords_in_range`` for the same state (computed if not given).
 
     When every tuple has L coordinates, each in [1, radix], two vertices'
     encoded colors are equal exactly when they share their length-L prefix,
@@ -351,7 +363,7 @@ def check_tuple_proper(
     coords = engine.coords
     if (
         countOf(map(len, coords), L) == len(coords)
-        and set(range(1, p.radix + 1)).issuperset(chain.from_iterable(coords))
+        and (coords_in_range(engine) if in_range is None else in_range)
         and not any(counts[L :: L + 1])
     ):
         return AuditReport(True)
@@ -362,11 +374,13 @@ def check_tuple_state(
     graph: DynamicGraph,
     engine,
     recount: Optional[Tuple[AuditReport, List[int]]] = None,
+    in_range: Optional[bool] = None,
 ) -> AuditReport:
     """Check stored prefix classes, coordinates, phi and scratch against the
     class sizes of ``recount``, a ``check_tuple_invariant`` result for the same
     state (recounted if not given). A set of the recounted size whose members
     are all neighbors sharing v's length-j prefix is the class rebuilt from colors.
+    ``in_range`` is ``coords_in_range`` for the same state (computed if not given).
 
     The whole state first gets one C-level verdict: the stored class sizes
     are the recount, slot 0 of each vertex's row is its adjacency dict, and
@@ -384,7 +398,6 @@ def check_tuple_state(
     adj = graph._adj
     radix = p.radix
     width = p.levels + 1
-    digits = set(range(1, radix + 1))
 
     def check_class(k: int) -> None:
         v, j = divmod(k, width)
@@ -402,7 +415,7 @@ def check_tuple_state(
     if (
         list(map(len, nstar)) == counts
         and all(map(is_, nstar[::width], adj))
-        and digits.issuperset(chain.from_iterable(coords))
+        and (coords_in_range(engine) if in_range is None else in_range)
     ):
         owned = counts[:]
         owned[::width] = repeat(0, graph.n)

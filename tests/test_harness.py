@@ -309,6 +309,36 @@ def test_deep_det_vc_audit_recounts_the_prefix_classes_once(monkeypatch):
     assert any(x[0] == "prefix-set" for x in state.violations)
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_deep_det_vc_audit_checks_the_coordinate_range_once(monkeypatch, corrupt):
+    g, eng = harness.make_engine("det-vc", 40, 16)
+    for ev in generate(TraceSpec(40, 16, 800, 3, "uniform-random")):
+        g.apply(ev)
+    if corrupt:
+        eng.coords[7][0] = eng.params.radix + 1
+    in_range = verify.coords_in_range
+    calls = []
+
+    def counted(engine):
+        calls.append(1)
+        return in_range(engine)
+
+    monkeypatch.setattr(verify, "coords_in_range", counted)
+    reports = dict(harness.audit_engine("det-vc", g, eng, deep=True))
+    assert len(calls) == 1
+    # Each check called alone computes the verdict itself, to the same lists.
+    monkeypatch.undo()
+    alone = [verify.check_tuple_proper(g, eng), verify.check_tuple_state(g, eng)]
+    assert [reports["proper-vertex"].violations, reports["tuple-state"].violations] == [
+        r.violations for r in alone
+    ]
+    assert reports["tuple-state"].passed != corrupt
+    if corrupt:
+        assert ("coordinate-range", 7, tuple(eng.coords[7]), eng.params.radix) in (
+            reports["tuple-state"].violations
+        )
+
+
 RECEIPT_CASES = [
     ("rand-vc", 16),
     ("rand-vc", None),

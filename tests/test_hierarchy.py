@@ -5,7 +5,6 @@ import random
 import pytest
 
 from colorbench import InternalInvariantViolation, InvalidBase, new_graph
-from colorbench.graph import EdgeHandle
 from colorbench.hierarchy import EMPTY_NEIGHBORS, LevelPartition
 from colorbench.verify import check_hierarchy
 
@@ -131,7 +130,13 @@ def synthetic_partition(levels, edges, delta, beta):
     for v, lv in enumerate(levels):
         p.level[v] = lv
     for u, v in edges:
-        p._link(EdgeHandle(min(u, v), max(u, v)))
+        for a, b in ((u, v), (v, u)):
+            if levels[b] < levels[a]:
+                if p.below[a] is EMPTY_NEIGHBORS:
+                    p.below[a] = {}
+                p.below[a][b] = None
+            else:
+                p.same[a].setdefault(levels[b], {})[b] = None
     return p
 
 
@@ -212,6 +217,98 @@ def test_invariants_hold_after_every_update(beta):
         assert not any(p.violates_lower(v) for v in range(60))
     report = check_hierarchy(g, p)
     assert report.passed, report.violations[:5]
+
+
+def test_invariants_hold_after_every_update_through_promotions_and_demotions():
+    # Fill a block of 65 vertices to 90% of its pairs, drain it to 2% and
+    # fill it again: filling promotes vertices and draining demotes them.
+    # Each update rechecks only the bound it can break, so a skipped check
+    # that mattered would leave a violator behind here.
+    rng = random.Random(5)
+    g, p = attach(65, 64, beta=2)
+    moves = {"up": 0, "down": 0}
+
+    def listener(x, old, new):
+        moves["up" if new > old else "down"] += 1
+
+    p.move_listener = listener
+    absent = [(u, v) for u in range(65) for v in range(u + 1, 65)]
+    live = []
+    for fill, floor in ((0.9, 0.02), (0.9, None)):
+        rng.shuffle(absent)
+        k = int(fill * 65 * 64 / 2) - len(live)
+        steps = [(g.insert, e) for e in absent[:k]]
+        live += absent[:k]
+        del absent[:k]
+        if floor is not None:
+            rng.shuffle(live)
+            k = len(live) - int(floor * 65 * 64 / 2)
+            steps += [(g.delete, e) for e in live[:k]]
+            absent += live[:k]
+            del live[:k]
+        for op, e in steps:
+            op(*e)
+            assert not any(p.violates_upper(v) for v in range(65))
+            assert not any(p.violates_lower(v) for v in range(65))
+            assert not p._q1 and not p._q2
+    assert moves["up"] > 0 and moves["down"] > 0, moves
+    report = check_hierarchy(g, p)
+    assert report.passed, report.violations[:5]
+
+
+def _star(center, leaves):
+    return [("+", center, v) for v in leaves]
+
+
+# (n, delta, updates, levels of vertices 0 and 1 after them). Each last
+# update moves vertex 0, and that move breaks a bound of neighbor 1 (or, in
+# the first case, 1's promotion breaks 0's), which only the check that the
+# move makes on its neighbors queues: the last receipt holds two moves.
+NEIGHBOR_MOVES = {
+    # 1 promotes to 5 and leaves 0 at level 5 with no lower neighbor.
+    "promotion-demotes-a-neighbor": (40, 32, _star(0, range(1, 18))
+        + [("-", 0, v) for v in range(2, 18)] + _star(1, range(18, 35)), (4, 5)),
+    # 0 falls 6 -> 4 onto 1's level, where 1 already has 16 neighbors.
+    "demotion-fills-a-band-it-lands-in": (80, 64, _star(0, range(1, 34))
+        + [("-", 0, v) for v in range(3, 34)] + _star(1, range(34, 50))
+        + [("-", 0, 2)], (4, 5)),
+    # 0 falls 6 -> 4 past 1 at level 5, which already has 32 below.
+    "demotion-fills-a-band-it-passes": (80, 64, _star(0, range(1, 34))
+        + _star(1, range(34, 66)) + [("-", 0, v) for v in range(2, 34)], (4, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEIGHBOR_MOVES))
+def test_a_move_that_breaks_a_neighbors_bound_moves_the_neighbor(case):
+    n, delta, updates, levels = NEIGHBOR_MOVES[case]
+    g, p = attach(n, delta, beta=2)
+    for kind, u, v in updates:
+        r = g.insert(u, v) if kind == "+" else g.delete(u, v)
+        assert not any(p.violates_upper(w) or p.violates_lower(w) for w in range(n))
+    assert r.stats["level_moves"] == 2
+    assert (p.level[0], p.level[1]) == levels
+    assert check_hierarchy(g, p).passed
+
+
+def test_unknown_update_kind_raises_before_any_write():
+    g, p = attach(40, 32, beta=2)
+    for v in range(1, 18):
+        g.insert(0, v)
+    assert p.level[0] == 5
+
+    def snapshot():
+        return (
+            list(p.level),
+            [list(b) for b in p.below],
+            [[(j, list(s)) for j, s in same.items()] for same in p.same],
+            list(p._q1), list(p._q2), bytes(p._in_q1), bytes(p._in_q2),
+            p.cells_touched,
+        )
+
+    before = snapshot()
+    with pytest.raises(ValueError):
+        p.on_structural_update(g.handle(0, 1), "?")
+    assert snapshot() == before
 
 
 def test_moves_are_deterministic():

@@ -397,6 +397,20 @@ def test_colors_levels_and_neighbor_order_match_the_golden(cycled):
     )
 
 
+def test_receipts_and_colors_match_the_golden_while_levels_move():
+    # sha256 of every receipt (its values in field order, one line each) and
+    # of the final colors, on the trace the cycled fixture replays. Unlike the
+    # layout golden, it pins each update's cells_touched and level_moves.
+    # Recorded before the hierarchy stopped rechecking the bound a change
+    # cannot break.
+    g, eng = make_engine("rand-vc", 129, 128, seed=1, beta=2)
+    rows = [",".join(map(str, g.apply(ev).stats.values())) for ev in block_cycles(1, 1, 128, 2)]
+    rows.append(",".join(map(str, eng.chi)))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "561e20ecb17a5a20dcd1b158e7e96ff372589d60a6aa4c68ff66481bb75984e9"
+    )
+
+
 def test_blank_unique_matches_brute_force_after_level_moves(cycled):
     g, eng, _ = cycled
     assert len(set(eng.hier.level)) > 2
