@@ -25,6 +25,18 @@ All threshold comparisons are done in exact integer arithmetic:
 D * (lam*(lam-1))**i <= delta * (lam+1)**i, so no float rounding can ever
 flip a verdict.
 
+An insert of (u, v) grows only the classes it joins: u's and v's classes of
+lengths 1..i, i being their common prefix length. A delete only shrinks
+classes, and never repairs. Between updates every class is within its bound,
+since each insert drains the queue and a repair that leaves its vertex
+violating raises. So an insert can break a bound only in one of the 2i
+classes it grew, and only those are checked, each as it is joined. When none
+is over, nothing is queued and the repair loop is not entered: it would have
+popped both endpoints, found neither violating and changed nothing. When one
+is over, both endpoints are queued, u first, as a check of every class
+queues them. So the queue, and every repair after it, are those that check
+gives.
+
 The classes sit in one flat list, v's length-j class at ``nstar[v*(L+1) + j]``,
 and each vertex's coordinates in a ``bytearray``, which the collector does not
 track. The length-0 class of v is all of N(v), which the graph already keeps:
@@ -191,20 +203,25 @@ class TupleVertexColoring:
         u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
         nst, w = self.nstar, self.params.levels + 1
+        allowed = self.params.max_allowed
+        over = False
         for j in range(1, i + 1):
-            _join(nst, u * w + j, v)
-            _join(nst, v * w + j, u)
+            # both joins always happen, and either class may be the one over
+            over |= len(_join(nst, u * w + j, v)) > allowed[j]
+            over |= len(_join(nst, v * w + j, u)) > allowed[j]
         self.phi += 2 * (i + 1)
         self.cells += 2 * (i + 1)
         if 2 * (i + 1) > 2 * w:
             self.flip_budget_violations += 1
         phi_before = self.phi
 
-        for x in (u, v):
-            if not self._inq[x]:
-                self._inq[x] = 1
-                self._queue.append(x)
-        repairs, rewritten = self.fix_invariant()
+        repairs = rewritten = 0
+        if over:
+            # both endpoints, u first, whichever is over, as a check of
+            # every class queued them
+            self._inq[u] = self._inq[v] = 1
+            self._queue.extend((u, v))
+            repairs, rewritten = self.fix_invariant()
         return {
             "fix_iterations": repairs,
             "coords_rewritten": rewritten,

@@ -43,6 +43,7 @@ alone would need a scan of the endpoint's edges, more than O(log delta).
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
@@ -325,20 +326,24 @@ class EdgeColoring:
 
     # -- structural self-check ------------------------------------------------------
 
-    def self_check(self) -> None:
+    def self_check(self, colors: Optional[List[Optional[int]]] = None) -> None:
         """Check every tree, and in adaptive mode every color map, against
-        the colors on the graph's handles.
+        the colors on the graph's handles. ``colors`` is
+        ``graph.handle_colors()`` for the same state (read if not given).
 
-        Each vertex's colors are read once, in bulk. The leaf row must mark
-        exactly those colors and each internal node must hold the sum of its
-        two children, which together is the tree rebuilt from them. Raises
+        A vertex's colors are its slice of that flat list. The leaf row must
+        mark exactly those colors and each internal node must hold the sum of
+        its two children, which together is the tree rebuilt from them. Raises
         InternalInvariantViolation naming the first vertex that disagrees.
         """
-        color_of = operator.attrgetter("color")
-        for v, (t, nbrs) in enumerate(zip(self.tree, self.graph._adj)):
-            colors = list(map(color_of, nbrs.values()))
-            problem = _tree_problem(t, colors)
-            if not problem and self.adaptive and self.held[v] != dict(zip(colors, nbrs.values())):
+        adj = self.graph._adj
+        if colors is None:
+            colors = self.graph.handle_colors()
+        ends = accumulate(map(len, adj))
+        for v, (t, nbrs, end) in enumerate(zip(self.tree, adj, ends)):
+            own = colors[end - len(nbrs) : end]
+            problem = _tree_problem(t, own)
+            if not problem and self.adaptive and self.held[v] != dict(zip(own, nbrs.values())):
                 problem = "color map differs from the colors of its edges"
             if problem:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")

@@ -8,7 +8,9 @@ the engine's instrumentation comes back in the receipt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional
 
 from .errors import (
     DegreeBoundExceeded,
@@ -128,6 +130,16 @@ class DynamicGraph:
             for v, h in self._adj[u].items():
                 if u < v:
                     yield h
+
+    def handle_colors(self) -> List[Optional[int]]:
+        """The ``color`` of every edge handle, vertex by vertex: v's deg(v)
+        entries, in its adjacency order, follow those of every vertex below v.
+
+        Each edge appears twice, once under each endpoint. The list is read
+        in one C-level pass, and an audit that hands it to several checks
+        reads the handles once.
+        """
+        return list(map(attrgetter("color"), chain.from_iterable(map(dict.values, self._adj))))
 
     # -- updates -----------------------------------------------------------
 

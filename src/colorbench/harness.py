@@ -263,10 +263,11 @@ def audit_engine(
 
     The default audit recomputes properness, palette bounds, and the band /
     class-size invariants from adjacency and colors; edge-c's colors are read
-    from the graph's edge handles, one pass per vertex for both properness and
-    palette. ``deep=True`` adds the checks of the engine's stored structures
-    (run at termination); rand-vc's color tables are checked against fresh
-    ones that the band recount builds in the same pass.
+    from the graph's edge handles once, into one flat list in vertex order
+    (``graph.handle_colors``), which serves properness and palette and, in a
+    deep audit, the tree check. ``deep=True`` adds the checks of the engine's
+    stored structures (run at termination); rand-vc's color tables are checked
+    against fresh ones that the band recount builds in the same pass.
     """
     reports: List[Tuple[str, verify.AuditReport]] = []
     if name in ("rand-vc", "greedy-baseline") or (
@@ -309,14 +310,15 @@ def audit_engine(
                 ("tuple-state", verify.check_tuple_state(graph, engine, recount, in_range))
             )
     elif name == "edge-c":
-        proper, bad = verify.check_edge_coloring(graph, engine.palette)
+        colors = graph.handle_colors()
+        proper, bad = verify.check_edge_coloring(graph, engine.palette, colors)
         reports.append(("proper-edge", proper))
         if engine.invariant_failures:
             bad.append(("search-invariant", None, engine.invariant_failures, 0))
         reports.append(("edge-palette", verify.AuditReport.from_violations(bad)))
         if deep:
             try:
-                engine.self_check()
+                engine.self_check(colors)
                 reports.append(("tree-rebuild", verify.AuditReport(True)))
             except InternalInvariantViolation as exc:
                 reports.append(

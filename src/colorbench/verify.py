@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress, cycle, repeat
-from operator import attrgetter, countOf, gt, is_, le, not_
+from itertools import accumulate, chain, compress, cycle, repeat
+from operator import countOf, gt, is_, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -71,7 +71,9 @@ def check_proper_vertex(graph: DynamicGraph, chi: Sequence[int]) -> AuditReport:
 
 
 def check_edge_coloring(
-    graph: DynamicGraph, palette: Optional[int]
+    graph: DynamicGraph,
+    palette: Optional[int],
+    colors: Optional[List[Optional[int]]] = None,
 ) -> Tuple[AuditReport, List[tuple]]:
     """Properness and palette of the edge colors held by the graph's handles.
 
@@ -79,23 +81,24 @@ def check_edge_coloring(
     (u, v) may use colors up to 2 * max(deg u, deg v) - 1. Returns the
     properness report (``uncolored-edge`` and ``proper-edge`` violations) and
     the ``edge-palette`` violations, each edge's under its lower endpoint.
+    ``colors`` is ``graph.handle_colors()`` for the same state (read if not given).
 
-    Each vertex's colors are read once, in bulk. A vertex whose colors are
-    all set, distinct and within its bound (the palette, or 2 * deg(v) - 1,
+    A vertex's colors are its slice of that flat list. A vertex whose colors
+    are all set, distinct and within its bound (the palette, or 2 * deg(v) - 1,
     which no incident edge's own bound is below) owns no violation; only a
     vertex that fails is walked edge by edge to list them.
     """
     proper: List[tuple] = []
     bad_palette: List[tuple] = []
-    color_of = attrgetter("color")
     adj = graph._adj
-    for v, nbrs in enumerate(adj):
+    if colors is None:
+        colors = graph.handle_colors()
+    for v, (nbrs, end) in enumerate(zip(adj, accumulate(map(len, adj)))):
         if not nbrs:
             continue
-        colors = list(map(color_of, nbrs.values()))
-        distinct = set(colors)
-        bound = palette if palette is not None else 2 * len(colors) - 1
-        if None not in distinct and len(distinct) == len(colors) and max(distinct) <= bound:
+        distinct = set(colors[end - len(nbrs) : end])
+        bound = palette if palette is not None else 2 * len(nbrs) - 1
+        if None not in distinct and len(distinct) == len(nbrs) and max(distinct) <= bound:
             continue
         seen: Dict[int, Tuple[int, int]] = {}
         for u, h in nbrs.items():

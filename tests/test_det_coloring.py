@@ -1,5 +1,6 @@
 """Tuple coloring: parameter derivation, repair loop, potential accounting."""
 
+import hashlib
 import math
 import random
 
@@ -165,6 +166,87 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
     assert 3 in row(eng, 2)[k - 1] and 3 not in row(eng, 2)[k]
     assert verify.check_tuple_state(g, eng).passed
     assert eng.fix_invariant() == (0, 0)
+
+
+def record_fix_calls(eng):
+    """Wrap eng's fix_invariant on the instance; returns the queue seen at each call."""
+    seen = []
+    fix = eng.fix_invariant
+
+    def recorded():
+        seen.append(list(eng._queue))
+        return fix()
+
+    eng.fix_invariant = recorded
+    return seen
+
+
+@pytest.mark.parametrize("hub", [20, 0], ids=["higher-endpoint", "lower-endpoint"])
+def test_an_insert_repairs_only_when_a_class_it_grew_breaks_its_bound(hub):
+    # At delta=32 the bounds are (32, 9, 2, 0, ...). The hub, one endpoint of
+    # the last insert, first gains nine neighbors sharing only its first
+    # coordinate: its length-1 class reaches its bound exactly, and no insert
+    # calls the repair loop. The last insert, (0, 20), shares two coordinates
+    # and takes only the hub's length-1 class over; both length-2 classes stay
+    # within theirs. Both endpoints are queued, lower first, and the hub moves
+    # to the free first coordinate 2. The receipts are those of an engine
+    # that queued both endpoints of every insert.
+    g = new_graph(21, 32)
+    eng = TupleVertexColoring(g)
+    assert eng.params.max_allowed == (32, 9, 2, 0, 0, 0, 0)
+    L = eng.params.levels
+    for x in range(1, 10):
+        eng.coords[x][:] = bytearray([1, 2 + x % 4] + [1] * (L - 2))
+    eng.coords[0][:] = bytearray([1] * L)
+    eng.coords[20][:] = bytearray([1, 1] + [2] * (L - 2))
+    seen = record_fix_calls(eng)
+    filled = [g.insert(hub, x).stats for x in range(1, 10)]
+    assert filled == [
+        {"fix_iterations": 0, "coords_rewritten": 0, "phi_before": 4 * k,
+         "phi_after": 4 * k, "cells_touched": 6}
+        for k in range(1, 10)
+    ]
+    assert len(row(eng, hub)[1]) == eng.params.max_allowed[1] and seen == []
+    assert g.insert(0, 20).stats == {
+        "fix_iterations": 1, "coords_rewritten": 6, "phi_before": 42,
+        "phi_after": 20, "cells_touched": 48,
+    }
+    assert seen == [[0, 20]] and not eng._queue and not any(eng._inq)
+    other = 20 - hub
+    assert list(eng.coords[hub]) == [2] + [1] * (L - 1)
+    assert list(eng.coords[other]) == ([1] * L if other == 0 else [1, 1] + [2] * (L - 2))
+    assert verify.check_tuple_state(g, eng).passed
+
+
+def test_an_insert_whose_first_coordinates_differ_does_no_queue_work():
+    g = new_graph(4, 32)
+    eng = TupleVertexColoring(g)
+    eng.coords[3][0] = 2
+    seen = record_fix_calls(eng)
+    assert g.insert(0, 3).stats == {
+        "fix_iterations": 0, "coords_rewritten": 0, "phi_before": 2,
+        "phi_after": 2, "cells_touched": 3,
+    }
+    assert seen == [] and not eng._queue and not any(eng._inq)
+    assert eng.fix_iterations_total == 0
+    assert verify.check_tuple_state(g, eng).passed
+
+
+def test_receipts_and_colors_match_the_golden_on_a_dense_trace():
+    # sha256 of every receipt (its values in field order, one line each) and
+    # of the final colors, on a conflict-heavy trace that fills a 129-vertex
+    # graph to degree delta=128, where the bounds are (128, 20, 3, 0, 0, 0).
+    # Recorded when every insert queued both endpoints and ran the repair loop.
+    spec = TraceSpec(129, 128, 20000, 7, "conflict-heavy")
+    g, eng = make_engine("det-vc", spec.n, spec.delta)
+    assert eng.params.max_allowed == (128, 20, 3, 0, 0, 0)
+    rows = [",".join(map(str, g.apply(ev).stats.values())) for ev in generate(spec)]
+    rows.append(",".join(map(str, eng.colors())))
+    assert eng.fix_iterations_total == 777
+    assert max(map(len, g._adj)) == 128
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "a8b29f3a06c8976726af8223c0370db29a1e303cf3aff2959544ef262a7340d4"
+    )
 
 
 def test_delete_updates_every_shared_prefix_level():

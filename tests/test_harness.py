@@ -14,6 +14,7 @@ from colorbench import (
     DuplicateEdge,
     DynamicGraph,
     GreedyVertexColoring,
+    InternalInvariantViolation,
     InvalidSpec,
     MissingEdge,
     SelfLoop,
@@ -337,6 +338,41 @@ def test_deep_det_vc_audit_checks_the_coordinate_range_once(monkeypatch, corrupt
         assert ("coordinate-range", 7, tuple(eng.coords[7]), eng.params.radix) in (
             reports["tuple-state"].violations
         )
+
+
+@pytest.mark.parametrize("delta", [16, None], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_deep_edge_c_audit_reads_the_colors_once(monkeypatch, corrupt, delta):
+    g, eng = harness.make_engine("edge-c", 40, delta)
+    for ev in generate(TraceSpec(40, delta, 800, 3, "uniform-random")):
+        g.apply(ev)
+    if corrupt:
+        u = next(v for v in range(g.n) if g.degree(v) >= 2)
+        a, b = list(g.neighbors(u))[:2]
+        g.handle(u, a).color = g.handle(u, b).color
+    read = g.handle_colors
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return read()
+
+    monkeypatch.setattr(g, "handle_colors", counted)
+    reports = dict(harness.audit_engine("edge-c", g, eng, deep=True))
+    assert len(calls) == 1
+    # Each check called alone reads the colors itself, to the same verdicts.
+    monkeypatch.undo()
+    proper, bad = verify.check_edge_coloring(g, eng.palette)
+    assert reports["proper-edge"].violations == proper.violations
+    assert reports["edge-palette"].violations == bad
+    try:
+        eng.self_check()
+        alone = []
+    except InternalInvariantViolation as exc:
+        alone = [("tree", str(exc))]
+    assert reports["tree-rebuild"].violations == alone
+    assert reports["proper-edge"].passed != corrupt
+    assert reports["tree-rebuild"].passed != corrupt
 
 
 RECEIPT_CASES = [
