@@ -28,14 +28,17 @@ flip a verdict.
 An insert of (u, v) grows only the classes it joins: u's and v's classes of
 lengths 1..i, i being their common prefix length. A delete only shrinks
 classes, and never repairs. Between updates every class is within its bound,
-since each insert drains the queue and a repair that leaves its vertex
-violating raises. So an insert can break a bound only in one of the 2i
-classes it grew, and only those are checked, each as it is joined. When none
-is over, nothing is queued and the repair loop is not entered: it would have
+since an insert's repair runs until its queue is empty and a repair that
+leaves its vertex violating raises. So an insert can break a bound only in
+one of the 2i classes it grew, and only those are checked, each as it is
+joined. When none is over, the repair loop is not entered: it would have
 popped both endpoints, found neither violating and changed nothing. When one
-is over, both endpoints are queued, u first, as a check of every class
+is over, it starts from both endpoints, u first, as a check of every class
 queues them. So the queue, and every repair after it, are those that check
 gives.
+
+A repair's queue, the set of vertices in it and its per-value counts are
+locals of that repair; the engine keeps none of them between updates.
 
 The classes sit in one flat list, v's length-j class at ``nstar[v*(L+1) + j]``,
 and each vertex's coordinates in a ``bytearray``, which the collector does not
@@ -58,7 +61,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, starmap
-from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
+from typing import AbstractSet, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .errors import DeltaTooSmall, InternalInvariantViolation, InvalidSpec
 from .graph import DynamicGraph, EdgeHandle
@@ -172,10 +175,6 @@ class TupleVertexColoring:
         self.nstar: List[AbstractSet[int]] = [NO_NEIGHBORS] * (n * (L + 1))
         self.nstar[:: L + 1] = graph._adj
         self.phi = 0
-        self._queue: deque[int] = deque()
-        self._inq = bytearray(n)
-        # scratch counts, all-zeros between operations
-        self.scratch = [0] * (self.params.radix + 1)
 
         # instrumentation, all expected to stay zero / bounded
         self.cells = 0
@@ -219,9 +218,7 @@ class TupleVertexColoring:
         if over:
             # both endpoints, u first, whichever is over, as a check of
             # every class queued them
-            self._inq[u] = self._inq[v] = 1
-            self._queue.extend((u, v))
-            repairs, rewritten = self.fix_invariant()
+            repairs, rewritten = self.fix_invariant((u, v))
         return {
             "fix_iterations": repairs,
             "coords_rewritten": rewritten,
@@ -260,26 +257,30 @@ class TupleVertexColoring:
                 return j
         return 0
 
-    def fix_invariant(self) -> Tuple[int, int]:
-        """Repair every queued violator; FIFO, rechecking on pop.
+    def fix_invariant(self, start: Iterable[int]) -> Tuple[int, int]:
+        """Repair the vertices in ``start`` and every neighbor a repair takes
+        over a bound; FIFO, rechecking on pop. The queue and the set of
+        queued vertices live for this one call.
 
         Returns (repair iterations, coordinates rewritten); an iteration at
         smallest violated prefix length k rewrites coordinates k..L.
         """
         repairs = rewritten = 0
-        q = self._queue
+        q = deque(start)
+        queued = set(q)
         while q:
             x = q.popleft()
-            self._inq[x] = 0
+            queued.discard(x)
             k = self._violating_index(x)
             if k:
-                rewritten += self._fix_vertex(x, k)
+                rewritten += self._fix_vertex(x, k, q, queued)
                 repairs += 1
         self.fix_iterations_total += repairs
         return repairs, rewritten
 
-    def _fix_vertex(self, x: int, k: int) -> int:
-        """One repair iteration: rewrite coordinates k..L of x's color."""
+    def _fix_vertex(self, x: int, k: int, q: Deque[int], queued: Set[int]) -> int:
+        """One repair iteration: rewrite coordinates k..L of x's color, and
+        queue each neighbor not yet queued whose class it takes over its bound."""
         p = self.params
         L, lam, delta = p.levels, p.radix, p.delta
         allowed = p.max_allowed
@@ -300,31 +301,22 @@ class TupleVertexColoring:
             self.cells += len(sj)
             nst[bx + j] = NO_NEIGHBORS
 
-        zeros = self.scratch
         self.cells += lam + 1
         s_plus = 0
         prefix = nst[bx + k - 1]
         for j in range(k, w):
             cj = j - 1  # coordinate index
             if prefix:
+                load = [0] * (lam + 1)
                 for u in prefix:
-                    zeros[coords[u][cj]] += 1
-                # Smallest value of the least-loaded class. Some class among
-                # the first len(prefix)+1 must be empty, so the scan is
-                # O(min(lam, |prefix|)) despite the early exit on zero.
-                alpha, best = 1, zeros[1]
-                self.cells += 1
-                if best:
-                    for a in range(2, lam + 1):
-                        self.cells += 1
-                        za = zeros[a]
-                        if za < best:
-                            alpha, best = a, za
-                            if not za:
-                                break
-                for u in prefix:
-                    zeros[coords[u][cj]] -= 1
-                self.cells += 2 * len(prefix)
+                    load[coords[u][cj]] += 1
+                # Smallest value of the least-loaded class. The cells are the
+                # cost model's, whose one array of counts (lam + 1, above) is
+                # zeroed after each count: 2 |prefix|, and a scan from value 1
+                # to the first empty class, O(min(lam, |prefix|)).
+                best = min(load[1:])
+                alpha = load.index(best, 1)
+                self.cells += (lam if best else alpha) + 2 * len(prefix)
                 if best * lam > len(prefix):
                     self.argmin_bound_violations += 1
             else:
@@ -338,9 +330,9 @@ class TupleVertexColoring:
                         new_set.add(u)
                         dj = _join(nst, u * w + j, x)
                         s_plus += 1
-                        if len(dj) > allowed[j] and not self._inq[u]:
-                            self._inq[u] = 1
-                            self._queue.append(u)
+                        if len(dj) > allowed[j] and u not in queued:
+                            queued.add(u)
+                            q.append(u)
                 self.cells += len(prefix)
                 self.phi += 2 * len(new_set)
                 nst[bx + j] = new_set

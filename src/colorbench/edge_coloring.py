@@ -121,14 +121,12 @@ class EdgeColoring:
     # the keys of every on_insert / on_delete receipt, in order
     RECEIPT_FIELDS = ("tree_visits", "recolored_edges", "color_assigned", "cells_touched")
 
-    def __init__(self, graph: DynamicGraph, adaptive: bool = False):
+    def __init__(self, graph: DynamicGraph):
         self.graph = graph
-        self.adaptive = adaptive
+        self.adaptive = graph.max_degree is None
         # color -> handle per vertex, kept in adaptive mode only: _shrink_fixups looks colors up
         self.held: Optional[List[Dict[int, EdgeHandle]]] = None
-        if not adaptive:
-            if graph.max_degree is None:
-                raise ValueError("fixed-palette edge coloring needs a degree bound")
+        if not self.adaptive:
             self.palette = max(1, 2 * graph.max_degree - 1)
             self.cap = _next_pow2(self.palette)
         else:

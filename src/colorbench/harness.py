@@ -242,13 +242,13 @@ def make_engine(
     mode: unbounded degrees and degree-tracking palettes."""
     graph = DynamicGraph(n, delta)
     if name == "rand-vc":
-        engine = RandVertexColoring(graph, seed=seed, beta=beta, adaptive=delta is None)
+        engine = RandVertexColoring(graph, seed=seed, beta=beta)
     elif name == "det-vc":
         if delta is None:
             raise InvalidSpec("det-vc needs a fixed degree bound")
         engine = make_det_engine(graph)
     elif name == "edge-c":
-        engine = EdgeColoring(graph, adaptive=delta is None)
+        engine = EdgeColoring(graph)
     elif name == "greedy-baseline":
         engine = GreedyVertexColoring(graph)
     else:

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantViolation, InvalidBase
 from .graph import DELETE, INSERT, EdgeHandle
@@ -147,15 +147,16 @@ class LevelPartition:
 
     # -- structural updates ------------------------------------------------------
 
-    def on_structural_update(self, handle: EdgeHandle, kind: str) -> List[Tuple[int, int, int]]:
+    def on_structural_update(self, handle: EdgeHandle, kind: str) -> int:
         """Absorb one edge update and drain both dirty queues.
 
-        Returns the level moves performed, as (vertex, old, new) triples.
-        The graph adjacency must already reflect the update.
+        Returns the number of level moves performed (0 while dormant); the
+        ``move_listener`` sees each one. The graph adjacency must already
+        reflect the update.
         """
         if self.dormant:
             self.cells_touched += 2  # the link or unlink a stored set would cost
-            return []
+            return 0
         level, below, same, pow_ = self.level, self.below, self.same, self.pow
         lo, hi = handle.lo, handle.hi
         if kind == INSERT:
@@ -196,26 +197,26 @@ class LevelPartition:
         else:
             raise ValueError(f"unknown update kind {kind!r}")
         self.cells_touched += 2
-        return self._restore() if self._q2 or self._q1 else []
+        return self._restore() if self._q2 or self._q1 else 0
 
-    def _restore(self) -> List[Tuple[int, int, int]]:
-        moves: List[Tuple[int, int, int]] = []
+    def _restore(self) -> int:
+        moves = 0
         while self._q2 or self._q1:
             if self._q2:
                 x = self._q2.popleft()
                 self._in_q2[x] = 0
                 if not self.violates_upper(x):
                     continue
-                old = self.level[x]
-                moves.append((x, old, self.promote(x)))
+                self.promote(x)
+                moves += 1
             else:
                 x = self._q1.popleft()
                 self._in_q1[x] = 0
                 if not self.violates_lower(x):
                     continue
                 # Upper-bound fixes drained first, so x satisfies invariant 2 here.
-                old = self.level[x]
-                moves.append((x, old, self.demote(x)))
+                self.demote(x)
+                moves += 1
         return moves
 
     # -- moves ----------------------------------------------------------------

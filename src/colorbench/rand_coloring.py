@@ -49,16 +49,10 @@ class RandVertexColoring:
         "recolor_calls", "chain_len_max", "pool_size_min", "cells_touched", "level_moves"
     )
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        seed: int = 0,
-        beta: float = 21.0,
-        adaptive: bool = False,
-    ):
+    def __init__(self, graph: DynamicGraph, seed: int = 0, beta: float = 21.0):
         self.graph = graph
         self.rng = random.Random(seed)
-        self.adaptive = adaptive
+        self.adaptive = graph.max_degree is None
         n = graph.n
         delta_cap = graph.max_degree if graph.max_degree is not None else max(1, n - 1)
         self.palette = max(1, delta_cap) + 1
@@ -66,7 +60,7 @@ class RandVertexColoring:
         self.hier.move_listener = self._on_level_move
 
         self.chi = [1] * n
-        if not adaptive:
+        if not self.adaptive:
             # randint(1, palette) for each vertex, inlined as CPython's
             # randrange does it: the same draws at a fraction of the calls
             bits = self.rng.getrandbits
@@ -143,7 +137,7 @@ class RandVertexColoring:
             "chain_len_max": len(chain),
             "pool_size_min": pool_min,
             "cells_touched": (self.cells - c0) + (self.hier.cells_touched - h0),
-            "level_moves": len(moves),
+            "level_moves": moves,
         }
 
     # -- recoloring ---------------------------------------------------------------

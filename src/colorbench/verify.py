@@ -379,8 +379,8 @@ def check_tuple_state(
     recount: Optional[Tuple[AuditReport, List[int]]] = None,
     in_range: Optional[bool] = None,
 ) -> AuditReport:
-    """Check stored prefix classes, coordinates, phi and scratch against the
-    class sizes of ``recount``, a ``check_tuple_invariant`` result for the same
+    """Check stored prefix classes, coordinates and phi against the class
+    sizes of ``recount``, a ``check_tuple_invariant`` result for the same
     state (recounted if not given). A set of the recounted size whose members
     are all neighbors sharing v's length-j prefix is the class rebuilt from colors.
     ``in_range`` is ``coords_in_range`` for the same state (computed if not given).
@@ -392,6 +392,8 @@ def check_tuple_state(
     walked in full, every class and coordinate, to list violations.
     Prefixes are compared digit by digit when their slices differ, so a
     coordinate row that is not a bytearray still matches an equal one.
+    A repair's queue and value counts live only while it runs, so no engine
+    state of theirs is left to check.
     """
     report, counts = recount or check_tuple_invariant(graph, engine)
     bad = list(report.violations)
@@ -433,6 +435,4 @@ def check_tuple_state(
     phi = sum(counts)
     if phi != engine.phi:
         bad.append(("potential", None, engine.phi, phi))
-    if any(engine.scratch):
-        bad.append(("scratch-dirty", None, engine.scratch, None))
     return AuditReport.from_violations(bad)

@@ -137,7 +137,7 @@ def test_insert_identical_tuples_triggers_repair():
 def test_repair_counts_iterations_and_rewritten_coordinates():
     g = new_graph(4, 16)
     eng = TupleVertexColoring(g)
-    assert eng.fix_invariant() == (0, 0)  # nothing queued
+    assert eng.fix_invariant(()) == (0, 0)  # nothing to repair
     # Wire one identical-tuple edge by hand, then repair via the public op.
     g.attach(None)
     g.insert(2, 3)
@@ -149,10 +149,7 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
         eng.nstar[2 * (L + 1) + j] = {3}
         eng.nstar[3 * (L + 1) + j] = {2}
     eng.phi += 2 * (L + 1)
-    for x in (2, 3):
-        eng._queue.append(x)
-        eng._inq[x] = 1
-    repairs, rewritten = eng.fix_invariant()
+    repairs, rewritten = eng.fix_invariant((2, 3))
     assert repairs == 1
     # vertex 2 is repaired; vertex 3 keeps its tuple
     old = bytearray([1] * L)
@@ -165,17 +162,17 @@ def test_repair_counts_iterations_and_rewritten_coordinates():
     # the shared prefix is now exactly k - 1 long
     assert 3 in row(eng, 2)[k - 1] and 3 not in row(eng, 2)[k]
     assert verify.check_tuple_state(g, eng).passed
-    assert eng.fix_invariant() == (0, 0)
+    assert eng.fix_invariant((2, 3)) == (0, 0)  # both within their bounds now
 
 
 def record_fix_calls(eng):
-    """Wrap eng's fix_invariant on the instance; returns the queue seen at each call."""
+    """Wrap eng's fix_invariant on the instance; returns the vertices each call starts from."""
     seen = []
     fix = eng.fix_invariant
 
-    def recorded():
-        seen.append(list(eng._queue))
-        return fix()
+    def recorded(start):
+        seen.append(list(start))
+        return fix(start)
 
     eng.fix_invariant = recorded
     return seen
@@ -211,7 +208,7 @@ def test_an_insert_repairs_only_when_a_class_it_grew_breaks_its_bound(hub):
         "fix_iterations": 1, "coords_rewritten": 6, "phi_before": 42,
         "phi_after": 20, "cells_touched": 48,
     }
-    assert seen == [[0, 20]] and not eng._queue and not any(eng._inq)
+    assert seen == [[0, 20]]
     other = 20 - hub
     assert list(eng.coords[hub]) == [2] + [1] * (L - 1)
     assert list(eng.coords[other]) == ([1] * L if other == 0 else [1, 1] + [2] * (L - 2))
@@ -227,8 +224,49 @@ def test_an_insert_whose_first_coordinates_differ_does_no_queue_work():
         "fix_iterations": 0, "coords_rewritten": 0, "phi_before": 2,
         "phi_after": 2, "cells_touched": 3,
     }
-    assert seen == [] and not eng._queue and not any(eng._inq)
+    assert seen == []
     assert eng.fix_iterations_total == 0
+    assert verify.check_tuple_state(g, eng).passed
+
+
+def test_a_repair_that_takes_a_neighbor_over_its_bound_queues_it_behind_both_endpoints():
+    # The last insert of a searched conflict-heavy trace (n=17, delta=16,
+    # bounds (16, 6, 2, 1, 0, 0, 0, 0)) joins vertices 1 and 14 of equal
+    # colors: 1's length-2 class and 14's length-1 class go over. Vertex 1 is
+    # repaired first, at k=2, and its new second coordinate puts it in the
+    # length-2 class of vertex 13, which was at its bound. So 13 is queued
+    # once, behind 14, and repaired after it within the same insert. The
+    # receipt and colors are those of the engine that kept its queue on itself.
+    spec = TraceSpec(17, 16, 142, 147, "conflict-heavy")
+    *fill, last = generate(spec)
+    g, eng = make_engine("det-vc", spec.n, spec.delta)
+    for ev in fill:
+        g.apply(ev)
+    assert eng.fix_iterations_total == 52
+    assert (last.kind, last.u, last.v) == ("+", 1, 14) and eng.coords[1] == eng.coords[14]
+    assert len(row(eng, 13)[2]) == eng.params.max_allowed[2] == 2
+    repaired = []
+    fix = eng._fix_vertex
+
+    def recorded(x, k, q, queued):
+        rewritten = fix(x, k, q, queued)
+        repaired.append((x, k, list(q)))  # the queue that x's repair leaves
+        return rewritten
+
+    eng._fix_vertex = recorded
+    assert g.apply(last).stats == {
+        "fix_iterations": 3, "coords_rewritten": 19, "phi_before": 218,
+        "phi_after": 184, "cells_touched": 142,
+    }
+    assert repaired == [(1, 2, [14, 13]), (14, 1, [13]), (13, 2, [])]
+    assert [list(eng.coords[x]) for x in (1, 14, 13)] == [
+        [1, 2, 2, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1], [1, 4, 1, 1, 1, 1, 1],
+    ]
+    assert eng.colors() == [
+        65, 1281, 4353, 65, 8193, 321, 321, 4161, 4097, 3073, 1281, 2049, 1089,
+        3073, 9217, 1025, 12289,
+    ]
+    assert verify.check_tuple_invariant(g, eng)[0].passed
     assert verify.check_tuple_state(g, eng).passed
 
 

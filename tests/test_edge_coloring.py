@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colorbench import EdgeColoring, InternalInvariantViolation, RangeOutOfBounds, new_graph
+from colorbench import (
+    DynamicGraph,
+    EdgeColoring,
+    InternalInvariantViolation,
+    RangeOutOfBounds,
+    new_graph,
+)
 from colorbench import verify
 from colorbench.edge_coloring import _next_pow2, _tree_problem, count_range, grown
 from colorbench.edge_coloring import add as tree_add
@@ -144,7 +150,7 @@ def test_tree_width_follows_the_largest_color_held():
 @pytest.mark.parametrize("delta", [3, None])
 def test_insert_delete_round_trip_restores_empty_state(delta):
     g = new_graph(4, delta)
-    ec = EdgeColoring(g, adaptive=delta is None)
+    ec = EdgeColoring(g)
     g.insert(0, 1)
     g.delete(0, 1)
     if delta is None:
@@ -233,7 +239,7 @@ def test_range_count_bounds_checked():
 def test_adaptive_range_count_reaches_past_a_small_tree():
     n = 6
     g = new_graph(n, None)
-    ec = EdgeColoring(g, adaptive=True)
+    ec = EdgeColoring(g)
     g.insert(0, 1)
     g.insert(0, 2)
     assert tree_cap(ec.tree[1]) == 1
@@ -248,15 +254,27 @@ def test_adaptive_range_count_reaches_past_a_small_tree():
 # -- adaptive mode -------------------------------------------------------------------------
 
 
+def test_the_mode_is_read_from_the_graphs_degree_bound():
+    # No bound selects adaptive mode: the palette follows the endpoint degrees.
+    g = DynamicGraph(4, None)
+    ec = EdgeColoring(g)
+    assert ec.adaptive and ec.palette is None
+    assert g.insert(0, 1).stats["color_assigned"] == 1
+    assert g.insert(1, 2).stats["color_assigned"] == 2  # within 2*deg(1)-1 = 3
+    assert sorted(ec.held[1]) == [1, 2]
+    bounded = EdgeColoring(DynamicGraph(4, 3))
+    assert not bounded.adaptive and bounded.palette == 5 and bounded.held is None
+
+
 def test_adaptive_single_edge_color_one():
     g = new_graph(2, None)
-    ec = EdgeColoring(g, adaptive=True)
+    ec = EdgeColoring(g)
     assert g.insert(0, 1).stats["color_assigned"] == 1
 
 
 def test_adaptive_path_palette():
     g = new_graph(3, None)
-    ec = EdgeColoring(g, adaptive=True)
+    ec = EdgeColoring(g)
     g.insert(0, 1)
     g.insert(1, 2)
     assert all(c <= 3 for c in ec.edge_colors().values())
@@ -268,7 +286,7 @@ def test_adaptive_shrink_recolors_stranded_edge():
     # 4+2). Deleting (1,2) then (1,3) drops deg(1) to 2, stranding color 5
     # above the (1,4) palette 2*max(2,2)-1 = 3; the fixup re-colors it to 2.
     g = new_graph(5, None)
-    ec = EdgeColoring(g, adaptive=True)
+    ec = EdgeColoring(g)
     for v in (1, 2, 3, 4):
         g.insert(0, v)
     g.insert(1, 2)
@@ -493,7 +511,7 @@ COLOR_MAP_CORRUPTIONS = {
 )
 def test_adaptive_color_map_is_checked_against_the_handles(corrupt):
     g = new_graph(6, None)
-    ec = EdgeColoring(g, adaptive=True)
+    ec = EdgeColoring(g)
     for w in range(1, 6):
         g.insert(0, w)
     assert ec.held[0] == {h.color: h for h in g._adj[0].values()}

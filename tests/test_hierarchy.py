@@ -18,10 +18,10 @@ def attach(n, delta, beta):
             self.part = LevelPartition(n, delta, beta)
 
         def on_insert(self, h):
-            return {"level_moves": len(self.part.on_structural_update(h, "+"))}
+            return {"level_moves": self.part.on_structural_update(h, "+")}
 
         def on_delete(self, h):
-            return {"level_moves": len(self.part.on_structural_update(h, "-"))}
+            return {"level_moves": self.part.on_structural_update(h, "-")}
 
     shim = Shim()
     g.attach(shim)

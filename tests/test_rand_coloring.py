@@ -287,7 +287,7 @@ def test_move_with_no_neighbors_changes_no_tables():
 
 def test_adaptive_isolated_vertex_forced_to_one():
     g = new_graph(5, None)
-    eng = RandVertexColoring(g, seed=9, adaptive=True)
+    eng = RandVertexColoring(g, seed=9)
     assert eng.chi == [1] * 5
     chain, _ = eng.recolor(0)
     assert eng.chi[0] == 1  # only color in the singleton palette
@@ -295,7 +295,7 @@ def test_adaptive_isolated_vertex_forced_to_one():
 
 def test_adaptive_pool_stays_within_degree_plus_one():
     g = new_graph(30, None)
-    eng = RandVertexColoring(g, seed=10, adaptive=True)
+    eng = RandVertexColoring(g, seed=10)
     churn(g, 77, 800, n=30)
     for v in range(30):
         view = eng.blank_unique(v)
@@ -306,7 +306,7 @@ def test_adaptive_pool_stays_within_degree_plus_one():
 
 def test_adaptive_delete_recolors_stranded_color():
     g = new_graph(30, None)
-    eng = RandVertexColoring(g, seed=11, adaptive=True)
+    eng = RandVertexColoring(g, seed=11)
     churn(g, 78, 1200, n=30)
     for h in list(g.edges()):
         r = g.delete(h.lo, h.hi)
