@@ -24,6 +24,20 @@ wider than the tree, the tree has no node for it: on the leftmost path the
 range holds all of the endpoint's colors, so the count is the root already
 in hand, and once the search turns right past the tree it holds none.
 
+So the levels wider than both trees are decided from the two roots alone,
+with no loop: the search turns right at the first such level no larger
+than the roots' sum. Once it has turned right past both trees every half is
+empty, and the search stops there with the range's first color. When both
+trees have the same width, a range is the same node in both, so the descent
+reads both trees with one node index; trees of two widths take a loop that
+keeps an index per tree. Adding or removing a color in two trees of one
+width is one leaf-to-root walk over both. None of this changes what is
+counted: a level with no node to read adds no visit, and its invariant
+check cannot fail (a left turn keeps the sum below the half's size, and
+past both trees it is 0), so tree_visits counts the same node reads and
+invariant_checks still adds one check per level, span.bit_length() per
+search.
+
 The landing color never exceeds deg(u) + deg(v) - 1: every rejected left
 half was fully occupied, so the colors below the landing point are covered
 by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
@@ -32,7 +46,9 @@ what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 
 Growing a tree copies its rows into a wider one; that copying is not
 counted in the tree_visits and cells_touched statistics, which count node
-reads and writes of the search and of the add/remove walks only.
+reads and writes of the search and of the add/remove walks only. A copy
+costs O(cap), so an update that grows a tree does more than O(log delta)
+work: README states this deviation from the paper's worst case.
 
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
@@ -166,21 +182,20 @@ class EdgeColoring:
 
     # -- coloring ----------------------------------------------------------------
 
-    def _tree_holding(self, v: int, c: int) -> List[int]:
-        """v's tree, created or grown so that it covers color c."""
-        t = self.tree[v]
-        if t is None:
-            t = self.tree[v] = [0] * (2 * _next_pow2(c))
-        elif len(t) >> 1 < c:
-            t = self.tree[v] = grown(t, _next_pow2(c))
-        return t
-
     def color(self, h: EdgeHandle) -> Tuple[int, int]:
         """Assign a color to a present, currently uncolored edge.
 
         Fig-style binary search over [1, span+1): keep the invariant that the
         current range holds strictly fewer incident colors (over both
         endpoints) than slots, preferring the left half.
+
+        Levels wider than both trees are decided from the two roots without a
+        read, and the search stops once it turns right past both trees.
+        Trees of one width share a node index at every level, and the color
+        is added to both in one walk; trees of two widths take the loop with
+        an index per tree. Skipped levels read no node and their checks
+        cannot fail, so the visits, invariant checks and color are those of
+        a descent through every level.
         """
         u, v = h.lo, h.hi
         adj = self.graph._adj
@@ -190,8 +205,9 @@ class EdgeColoring:
             span = _next_pow2(max(1, du + dv - 1))
         else:
             span = self.cap
-        nu = self.tree[u] or _NO_COLORS
-        nv = self.tree[v] or _NO_COLORS
+        tree = self.tree
+        nu = tree[u] or _NO_COLORS
+        nv = tree[v] or _NO_COLORS
         cu = len(nu) >> 1
         cv = len(nv) >> 1
         # iu == 0: u's tree has no node for the current range (see module doc)
@@ -204,37 +220,76 @@ class EdgeColoring:
         lo = 1
         if su + sv >= size:
             raise self._search_full(lo, size, span, u, v)
-        # A tree with no node for the range (index 0) has all of its colors
-        # in it on the leftmost path and none once the search is past the tree.
-        while size > 1:
-            size >>= 1
-            if lo == 1:
-                iu = cu // size
-                iv = cv // size
+        wide = cu if cu > cv else cv
+        if span > wide:
+            # The levels wider than both trees read no node: each range holds
+            # both roots. The search turns right at the first one no larger
+            # than their sum, the largest power of two in it, and is then past
+            # both trees, where every half is empty, so the color is lo.
+            roots = su + sv
+            if roots >= 2 * wide:
+                lo += 1 << (roots.bit_length() - 1)
+                size = 1
             else:
-                iu <<= 1
-                iv <<= 1
-            if iu:
-                lu = nu[iu]
-                visits += 1
-            else:
-                lu = su
-            if iv:
-                lv = nv[iv]
-                visits += 1
-            else:
-                lv = sv
-            if lu + lv < size:
-                su, sv = lu, lv
-            else:
-                su -= lu
-                sv -= lv
-                lo += size
-                # node 1 is a root: the range right of it is past the tree
-                iu = iu + 1 if iu > 1 else 0
-                iv = iv + 1 if iv > 1 else 0
-            if su + sv >= size:
-                raise self._search_full(lo, size, span, u, v)
+                # the level of size wide reads the wider root again, or both
+                # roots if the widths are equal, and turns right past both
+                # trees if the roots fill it
+                size = wide
+                visits += 1 if cu != cv else 2
+                if roots >= size:
+                    lo += size
+                    size = 1
+        if cu == cv:
+            # One node index for both trees, node 1 if the range is the roots.
+            # Only the sum of the two counts steers, so it is kept as one.
+            i = iu or 1
+            count = su + sv
+            visits += 2 * (size.bit_length() - 1)
+            while size > 1:
+                size >>= 1
+                i <<= 1
+                left = nu[i] + nv[i]
+                if left < size:
+                    count = left
+                else:
+                    count -= left
+                    lo += size
+                    i += 1
+                if count >= size:
+                    raise self._search_full(lo, size, span, u, v)
+        else:
+            # A tree with no node for the range (index 0) has all of its
+            # colors in it on the leftmost path and none once the search is
+            # past the tree.
+            while size > 1:
+                size >>= 1
+                if lo == 1:
+                    iu = cu // size
+                    iv = cv // size
+                else:
+                    iu <<= 1
+                    iv <<= 1
+                if iu:
+                    lu = nu[iu]
+                    visits += 1
+                else:
+                    lu = su
+                if iv:
+                    lv = nv[iv]
+                    visits += 1
+                else:
+                    lv = sv
+                if lu + lv < size:
+                    su, sv = lu, lv
+                else:
+                    su -= lu
+                    sv -= lv
+                    lo += size
+                    # node 1 is a root: the range right of it is past the tree
+                    iu = iu + 1 if iu > 1 else 0
+                    iv = iv + 1 if iv > 1 else 0
+                if su + sv >= size:
+                    raise self._search_full(lo, size, span, u, v)
         # one check per level, size span down to 1
         self.invariant_checks += span.bit_length()
 
@@ -249,8 +304,25 @@ class EdgeColoring:
         h.color = c
         if self.adaptive:
             self.held[u][c] = self.held[v][c] = h
-        visits += add(self._tree_holding(u, c), c, 1)
-        visits += add(self._tree_holding(v, c), c, 1)
+        # create or grow each tree so that it covers c
+        if nu is _NO_COLORS:
+            nu = tree[u] = [0] * (2 * _next_pow2(c))
+        elif cu < c:
+            nu = tree[u] = grown(nu, _next_pow2(c))
+        if nv is _NO_COLORS:
+            nv = tree[v] = [0] * (2 * _next_pow2(c))
+        elif cv < c:
+            nv = tree[v] = grown(nv, _next_pow2(c))
+        i = (len(nu) >> 1) + c - 1
+        if len(nu) == len(nv):
+            # one leaf-to-root walk; a walk visits one node per level
+            visits += 2 * i.bit_length()
+            while i:
+                nu[i] += 1
+                nv[i] += 1
+                i >>= 1
+        else:
+            visits += add(nu, c, 1) + add(nv, c, 1)
         if c > self.max_color_seen:
             self.max_color_seen = c
         return c, visits
@@ -269,7 +341,17 @@ class EdgeColoring:
         if self.adaptive:
             del self.held[u][c], self.held[v][c]
         h.color = None
-        return add(self.tree[u], c, -1) + add(self.tree[v], c, -1)
+        nu = self.tree[u]
+        nv = self.tree[v]
+        i = (len(nu) >> 1) + c - 1
+        if len(nu) == len(nv):
+            visits = 2 * i.bit_length()
+            while i:
+                nu[i] -= 1
+                nv[i] -= 1
+                i >>= 1
+            return visits
+        return add(nu, c, -1) + add(nv, c, -1)
 
     def _shrink_fixups(self, u: int, v: int) -> Tuple[int, int]:
         """Re-color incident edges stranded above their shrunken palettes.

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colorbench import (
+    INSERT,
     DynamicGraph,
     EdgeColoring,
     InternalInvariantViolation,
@@ -379,6 +380,136 @@ def test_colors_match_the_full_width_golden(n, delta, seed, mode):
         hashlib.sha256(",".join(column).encode()).hexdigest(),
         hashlib.sha256(repr(final).encode()).hexdigest(),
     ) == GOLDEN[(n, delta, seed, mode)]
+
+
+# sha256 of every receipt's fields (in RECEIPT_FIELDS order) and of the sorted
+# final edge_colors() items, and the invariant_checks total. The dense trace
+# searches palette-wide trees at both endpoints in most inserts; the adaptive
+# one has deletes leave trees wider than the search span.
+RECEIPT_GOLDEN = {
+    (129, 128, 20000, 11, "insert-heavy"): (
+        "2914ca44669465a23332ce6daf6bbbe8b3040613b783f325ca09c1a8f13ee4fb",
+        "3bfb309ab3060885f645e6bd8cc29d6fda0b9160f0fe359c364071449474f391",
+        126684,
+    ),
+    (60, None, 6000, 13, "sliding-window"): (
+        "9441194f6f6ec616ddd3e3864e16828a3e880771534062cf7ab44ca64ca7dcc3",
+        "5a485e62f0b45aea4415687818f7f7188f14573ff2da76b719902adfa9121ca9",
+        16985,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, delta, ops, seed, mode", sorted(RECEIPT_GOLDEN, key=str))
+def test_receipts_match_the_golden(n, delta, ops, seed, mode):
+    g, ec = make_engine("edge-c", n, delta, seed=seed)
+    rows = []
+    for ev in generate(TraceSpec(n, delta, ops, seed, mode)):
+        stats = g.apply(ev).stats
+        rows.append(tuple(stats[k] for k in EdgeColoring.RECEIPT_FIELDS))
+    final = sorted(ec.edge_colors().items())
+    assert (
+        hashlib.sha256(repr(rows).encode()).hexdigest(),
+        hashlib.sha256(repr(final).encode()).hexdigest(),
+        ec.invariant_checks,
+    ) == RECEIPT_GOLDEN[(n, delta, ops, seed, mode)]
+
+
+@pytest.mark.parametrize("delta, mode", [(16, "uniform-random"), (None, "sliding-window")])
+def test_every_search_runs_through_color(monkeypatch, delta, mode):
+    # perfbench times the search by wrapping EdgeColoring.color by name
+    calls = []
+    color = EdgeColoring.color
+
+    def counted(self, h):
+        calls.append(h)
+        return color(self, h)
+
+    monkeypatch.setattr(EdgeColoring, "color", counted)
+    g, ec = make_engine("edge-c", 40, delta, seed=5)
+    inserts = fixups = 0
+    for ev in generate(TraceSpec(40, delta, 2000, 5, mode)):
+        r = g.apply(ev)
+        inserts += r.kind == INSERT
+        fixups += r.stats["recolored_edges"]
+    assert len(calls) == inserts + fixups
+    assert inserts > 500 and (fixups > 0) == (delta is None)
+
+
+# -- search failures ---------------------------------------------------------------------------
+
+
+def two_wide_trees(delta):
+    """Vertices 0 and 3 hold color 1 in trees of capacity 8; vertex 4 holds
+    color 1 in a tree of capacity 1.
+
+    Edge (0, 3) took color 5 while both endpoints held colors 1 and 2, which
+    grew both trees; deleting it, (0, 2) and (3, 5) leaves them wide.
+    """
+    g = new_graph(6, delta)
+    ec = EdgeColoring(g)
+    for u, v in ((0, 1), (0, 2), (3, 4), (3, 5)):
+        g.insert(u, v)
+    assert g.insert(0, 3).stats["color_assigned"] == 5
+    for u, v in ((0, 3), (0, 2), (3, 5)):
+        g.delete(u, v)
+    assert [tree_cap(t) for t in ec.tree] == [8, 1, 2, 8, 1, 2]
+    ec.self_check()
+    return g, ec
+
+
+# Inserting (0, v): v = 3 gives both endpoints trees of one width, v = 4
+# trees of two widths. Both endpoints then have degree 2, so the search span
+# is the palette's 8 in fixed mode and next_pow2(3) = 4 in adaptive mode,
+# where the trees of 0 and 3 are twice as wide as the span.
+SEARCHES = {
+    "fixed-equal-widths": (4, 3, 8),
+    "fixed-unequal-widths": (4, 4, 8),
+    "adaptive-equal-widths": (None, 3, 4),
+    "adaptive-unequal-widths": (None, 4, 4),
+}
+
+
+def assert_refuses_the_next_update(g):
+    with pytest.raises(InternalInvariantViolation, match="failed in the engine"):
+        g.insert(1, 2)
+
+
+@pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
+def test_a_search_range_read_full_fails_the_update(delta, v, span):
+    g, ec = two_wide_trees(delta)
+    t = ec.tree[0]
+    # the node of 0's tree that counts [1, span]: with v's color 1 it reads full
+    t[tree_cap(t) // span] += span - 1
+    checks = ec.invariant_checks
+    with pytest.raises(
+        InternalInvariantViolation,
+        match=rf"^search range \[1, {span + 1}\) full while coloring \(0, {v}\)$",
+    ):
+        g.insert(0, v)
+    assert ec.invariant_failures == 1
+    assert ec.invariant_checks == checks + 1  # the one check made, on the whole span
+    assert g._adj[0][v].color is None
+    assert_refuses_the_next_update(g)
+
+
+@pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
+def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, span):
+    g, ec = two_wide_trees(delta)
+    t = ec.tree[0]
+    cap = tree_cap(t)
+    t[cap // 2] += 1  # [1, 2] reads full: the search turns right, to [3, 4]
+    t[cap + 2] += 1  # color 3 reads held: it turns right again, to color 4
+    checks = ec.invariant_checks
+    with pytest.raises(
+        InternalInvariantViolation,
+        match=rf"^color 4 for \(0, {v}\) above deg\(u\) \+ deg\(v\) - 1 = 3$",
+    ):
+        g.insert(0, v)
+    assert ec.invariant_failures == 1
+    assert ec.invariant_checks == checks + span.bit_length()  # one check per level
+    assert g._adj[0][v].color is None
+    assert_refuses_the_next_update(g)
 
 
 # -- self-check ------------------------------------------------------------------------------
