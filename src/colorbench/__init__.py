@@ -36,7 +36,7 @@ from .errors import (
     TraceParseError,
     UnknownVertex,
 )
-from .graph import DELETE, INSERT, DynamicGraph, EdgeHandle, UpdateEvent, UpdateReceipt, new_graph
+from .graph import DELETE, INSERT, DynamicGraph, UpdateEvent, UpdateReceipt, new_graph
 from .hierarchy import LevelPartition
 from .rand_coloring import BlankUniqueView, RandVertexColoring
 
@@ -51,7 +51,6 @@ __all__ = [
     "DuplicateEdge",
     "DynamicGraph",
     "EdgeColoring",
-    "EdgeHandle",
     "GreedyVertexColoring",
     "INSERT",
     "InputError",

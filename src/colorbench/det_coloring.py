@@ -64,7 +64,7 @@ from itertools import chain, islice, product, repeat, starmap
 from typing import AbstractSet, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .errors import DeltaTooSmall, InternalInvariantViolation, InvalidSpec
-from .graph import DynamicGraph, EdgeHandle
+from .graph import DynamicGraph
 
 DELTA_MIN = 16
 
@@ -197,9 +197,8 @@ class TupleVertexColoring:
         self.cells += i + 1
         return i
 
-    def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_insert(self, u: int, v: int) -> Dict[str, int]:
         c0 = self.cells
-        u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
         nst, w = self.nstar, self.params.levels + 1
         allowed = self.params.max_allowed
@@ -227,9 +226,8 @@ class TupleVertexColoring:
             "cells_touched": self.cells - c0,
         }
 
-    def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_delete(self, u: int, v: int, value: None) -> Dict[str, int]:
         c0 = self.cells
-        u, v = h.lo, h.hi
         i = self._common_prefix(u, v)
         nst, w = self.nstar, self.params.levels + 1
         for j in range(1, i + 1):
@@ -393,12 +391,12 @@ class GreedyVertexColoring:
         self.cells = 0
         graph.attach(self)
 
-    def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
         c0 = self.cells
         recolors = 0
         chi = self.chi
-        if chi[h.lo] == chi[h.hi]:
-            v = h.hi
+        if chi[lo] == chi[hi]:
+            v = hi
             used = set()
             for w in self.graph.neighbors(v):
                 used.add(chi[w])
@@ -411,7 +409,7 @@ class GreedyVertexColoring:
             recolors = 1
         return {"recolor_calls": recolors, "cells_touched": self.cells - c0}
 
-    def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_delete(self, lo: int, hi: int, value: None) -> Dict[str, int]:
         return {"recolor_calls": 0, "cells_touched": 0}
 
     def colors(self) -> List[int]:

@@ -1,9 +1,10 @@
 """(2*delta - 1) edge coloring with logarithmic worst-case work per update.
 
-A vertex's colors are kept once, on the graph's edge handles (each handle's
-``color``), and counted in an implicit complete binary counting tree per
-vertex; only adaptive mode adds a map from color to handle per vertex, for
-the deletion fixups below. A vertex has no tree until its first edge; the
+An edge's color is kept in the graph's adjacency, in both endpoints' slots
+(``_adj[u][v]`` and ``_adj[v][u]``), and a vertex's colors are counted in an
+implicit complete binary counting tree per vertex; only adaptive mode adds a
+map per vertex from a color to the other endpoint of the edge holding it,
+for the deletion fixups below. A vertex has no tree until its first edge; the
 tree then covers colors [1, cap], cap being the smallest power of two that
 holds every color the vertex has held, and doubles when a larger color lands
 there. A vertex of small degree therefore keeps a small tree whatever delta
@@ -52,8 +53,9 @@ work: README states this deviation from the paper's worst case.
 
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
-longer admits. It finds them by color in the color-to-handle map: the handles
-alone would need a scan of the endpoint's edges, more than O(log delta).
+longer admits. It finds them by color in the color-to-endpoint map: the
+adjacency alone would need a scan of the endpoint's edges, more than
+O(log delta).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
-from .graph import DynamicGraph, EdgeHandle
+from .graph import DynamicGraph
 
 
 def _next_pow2(x: int) -> int:
@@ -140,8 +142,9 @@ class EdgeColoring:
     def __init__(self, graph: DynamicGraph):
         self.graph = graph
         self.adaptive = graph.max_degree is None
-        # color -> handle per vertex, kept in adaptive mode only: _shrink_fixups looks colors up
-        self.held: Optional[List[Dict[int, EdgeHandle]]] = None
+        # color -> other endpoint per vertex, kept in adaptive mode only:
+        # _shrink_fixups looks colors up
+        self.held: Optional[List[Dict[int, int]]] = None
         if not self.adaptive:
             self.palette = max(1, 2 * graph.max_degree - 1)
             self.cap = _next_pow2(self.palette)
@@ -158,8 +161,8 @@ class EdgeColoring:
 
     # -- engine protocol ---------------------------------------------------------
 
-    def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
-        c, visits = self.color(h)
+    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
+        c, visits = self.color(lo, hi)
         return {
             "tree_visits": visits,
             "recolored_edges": 0,
@@ -167,11 +170,11 @@ class EdgeColoring:
             "cells_touched": visits,
         }
 
-    def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
-        visits = self._uncolor(h)
+    def on_delete(self, lo: int, hi: int, value: int) -> Dict[str, int]:
+        visits = self._uncolor(lo, hi, value)
         recolored = 0
         if self.adaptive:
-            recolored, extra = self._shrink_fixups(h.lo, h.hi)
+            recolored, extra = self._shrink_fixups(lo, hi)
             visits += extra
         return {
             "tree_visits": visits,
@@ -182,8 +185,8 @@ class EdgeColoring:
 
     # -- coloring ----------------------------------------------------------------
 
-    def color(self, h: EdgeHandle) -> Tuple[int, int]:
-        """Assign a color to a present, currently uncolored edge.
+    def color(self, u: int, v: int) -> Tuple[int, int]:
+        """Assign a color to the present edge (u, v), u < v, which holds none.
 
         Fig-style binary search over [1, span+1): keep the invariant that the
         current range holds strictly fewer incident colors (over both
@@ -197,10 +200,10 @@ class EdgeColoring:
         cannot fail, so the visits, invariant checks and color are those of
         a descent through every level.
         """
-        u, v = h.lo, h.hi
         adj = self.graph._adj
-        du = len(adj[u])
-        dv = len(adj[v])
+        at_u, at_v = adj[u], adj[v]
+        du = len(at_u)
+        dv = len(at_v)
         if self.adaptive:
             span = _next_pow2(max(1, du + dv - 1))
         else:
@@ -301,9 +304,10 @@ class EdgeColoring:
             raise InternalInvariantViolation(
                 f"color {c} for ({u}, {v}) above deg(u) + deg(v) - 1 = {du + dv - 1}"
             )
-        h.color = c
+        at_u[v] = at_v[u] = c
         if self.adaptive:
-            self.held[u][c] = self.held[v][c] = h
+            self.held[u][c] = v
+            self.held[v][c] = u
         # create or grow each tree so that it covers c
         if nu is _NO_COLORS:
             nu = tree[u] = [0] * (2 * _next_pow2(c))
@@ -335,12 +339,11 @@ class EdgeColoring:
             f"search range [{lo}, {lo + size}) full while coloring ({u}, {v})"
         )
 
-    def _uncolor(self, h: EdgeHandle) -> int:
-        c = h.color
-        u, v = h.lo, h.hi
+    def _uncolor(self, u: int, v: int, c: int) -> int:
+        """Take color c of edge (u, v) out of both endpoints' trees and maps;
+        the caller clears or removes the edge's slots."""
         if self.adaptive:
             del self.held[u][c], self.held[v][c]
-        h.color = None
         nu = self.tree[u]
         nv = self.tree[v]
         i = (len(nu) >> 1) + c - 1
@@ -361,19 +364,22 @@ class EdgeColoring:
         hence at most four candidate edges; processed in ascending
         (endpoint, color) order.
         """
+        adj = self.graph._adj
         degree = self.graph.degree
         candidates = []
         for x in (u, v):
             dx = degree(x)
             for c in (2 * dx, 2 * dx + 1):
-                h2 = self.held[x].get(c)
-                if h2 is not None and c > 2 * max(dx, degree(h2.other(x))) - 1:
-                    candidates.append((x, c, h2))
-        candidates.sort(key=lambda t: (t[0], t[1]))
+                y = self.held[x].get(c)
+                if y is not None and c > 2 * max(dx, degree(y)) - 1:
+                    candidates.append((x, c, y))
+        candidates.sort()  # (endpoint, color) pairs are distinct
         visits = 0
-        for _, _, h2 in candidates:
-            visits += self._uncolor(h2)
-            _, w = self.color(h2)
+        for x, c, y in candidates:
+            lo, hi = (x, y) if x < y else (y, x)
+            visits += self._uncolor(lo, hi, c)
+            adj[lo][hi] = adj[hi][lo] = None
+            _, w = self.color(lo, hi)
             visits += w
         return len(candidates), visits
 
@@ -399,16 +405,16 @@ class EdgeColoring:
     def edge_colors(self) -> Dict[Tuple[int, int], int]:
         out: Dict[Tuple[int, int], int] = {}
         for u, adj in enumerate(self.graph._adj):
-            for v, h in adj.items():
+            for v, c in adj.items():
                 if u < v:
-                    out[(u, v)] = h.color
+                    out[(u, v)] = c
         return out
 
     # -- structural self-check ------------------------------------------------------
 
     def self_check(self, colors: Optional[List[Optional[int]]] = None) -> None:
         """Check every tree, and in adaptive mode every color map, against
-        the colors on the graph's handles. ``colors`` is
+        the colors in the graph's adjacency. ``colors`` is
         ``graph.handle_colors()`` for the same state (read if not given).
 
         A vertex's colors are its slice of that flat list. The leaf row must
@@ -423,7 +429,7 @@ class EdgeColoring:
         for v, (t, nbrs, end) in enumerate(zip(self.tree, adj, ends)):
             own = colors[end - len(nbrs) : end]
             problem = _tree_problem(t, own)
-            if not problem and self.adaptive and self.held[v] != dict(zip(own, nbrs.values())):
+            if not problem and self.adaptive and self.held[v] != dict(zip(own, nbrs)):
                 problem = "color map differs from the colors of its edges"
             if problem:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")

@@ -3,14 +3,19 @@
 The graph is the source of truth for adjacency and degrees. A coloring
 engine may be attached; every accepted update notifies it exactly once and
 the engine's instrumentation comes back in the receipt.
+
+The graph keeps no object per edge. ``_adj[v]`` maps each neighbor u of v
+to the edge's slot: its color under the edge-coloring engine, which writes
+the color into both endpoints' slots, and None under every other engine.
+An engine is told an update's endpoints (lo, hi), lo < hi, and a delete
+also hands it the slot just removed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     DegreeBoundExceeded,
@@ -27,22 +32,37 @@ INSERT = "+"
 DELETE = "-"
 
 
-class EdgeHandle:
-    """A live edge. Endpoints are stored canonically as (lo, hi), lo < hi.
+# A slot may hold None, so a lookup that can miss defaults to this instead.
+_ABSENT = object()
 
-    ``color`` is scratch for the edge-coloring engine; it stays None until
-    that engine colors the edge.
+
+class EdgeHandle:
+    """A query view of one live edge, endpoints (lo, hi) with lo < hi.
+
+    Only ``DynamicGraph.handle`` builds one; no update does. ``color`` reads
+    the edge's slot in the adjacency, and writing it writes both endpoints'
+    slots.
     """
 
-    __slots__ = ("lo", "hi", "color")
+    __slots__ = ("_adj", "lo", "hi")
 
-    def __init__(self, lo: int, hi: int):
+    def __init__(self, adj: List[Dict[int, Optional[int]]], lo: int, hi: int):
+        self._adj = adj
         self.lo = lo
         self.hi = hi
-        self.color = None
 
-    def other(self, v: int) -> int:
-        return self.hi if v == self.lo else self.lo
+    @property
+    def color(self) -> Optional[int]:
+        return self._adj[self.lo][self.hi]
+
+    @color.setter
+    def color(self, c: Optional[int]) -> None:
+        self._adj[self.lo][self.hi] = self._adj[self.hi][self.lo] = c
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeHandle):
+            return NotImplemented
+        return self._adj is other._adj and (self.lo, self.hi) == (other.lo, other.hi)
 
     def __repr__(self) -> str:
         return f"EdgeHandle({self.lo}, {self.hi})"
@@ -86,7 +106,7 @@ class DynamicGraph:
             raise ValueError("degree bound must be nonnegative")
         self.n = n
         self.max_degree = max_degree
-        self._adj: list[Dict[int, EdgeHandle]] = [dict() for _ in range(n)]
+        self._adj: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
         self.num_edges = 0
         self.seq = 0
         self.engine = None
@@ -118,28 +138,30 @@ class DynamicGraph:
         return iter(self._adj[v])
 
     def handle(self, u: int, v: int) -> EdgeHandle:
+        """A view of the live edge (u, v), for queries and tests."""
         self._check_vertex(u)
         self._check_vertex(v)
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise MissingEdge(f"edge ({u}, {v}) not present") from None
+        if v not in self._adj[u]:
+            raise MissingEdge(f"edge ({u}, {v}) not present")
+        lo, hi = (u, v) if u < v else (v, u)
+        return EdgeHandle(self._adj, lo, hi)
 
-    def edges(self) -> Iterator[EdgeHandle]:
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Every live edge once, as (lo, hi) with lo < hi, in vertex order."""
         for u in range(self.n):
-            for v, h in self._adj[u].items():
+            for v in self._adj[u]:
                 if u < v:
-                    yield h
+                    yield u, v
 
     def handle_colors(self) -> List[Optional[int]]:
-        """The ``color`` of every edge handle, vertex by vertex: v's deg(v)
-        entries, in its adjacency order, follow those of every vertex below v.
+        """The slot of every edge, vertex by vertex: v's deg(v) entries, in
+        its adjacency order, follow those of every vertex below v.
 
         Each edge appears twice, once under each endpoint. The list is read
         in one C-level pass, and an audit that hands it to several checks
-        reads the handles once.
+        reads the adjacency once.
         """
-        return list(map(attrgetter("color"), chain.from_iterable(map(dict.values, self._adj))))
+        return list(chain.from_iterable(map(dict.values, self._adj)))
 
     # -- updates -----------------------------------------------------------
 
@@ -158,41 +180,41 @@ class DynamicGraph:
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
         lo, hi = (u, v) if u < v else (v, u)
+        adj = self._adj
+        kind = event.kind
 
-        if event.kind == INSERT:
-            if hi in self._adj[lo]:
+        if kind == INSERT:
+            at_lo, at_hi = adj[lo], adj[hi]
+            if hi in at_lo:
                 raise DuplicateEdge(f"edge ({lo}, {hi}) already present")
-            if self.max_degree is not None:
-                if (
-                    len(self._adj[lo]) >= self.max_degree
-                    or len(self._adj[hi]) >= self.max_degree
-                ):
-                    raise DegreeBoundExceeded(
-                        f"insert ({lo}, {hi}) exceeds degree bound {self.max_degree}"
-                    )
-            h = EdgeHandle(lo, hi)
-            self._adj[lo][hi] = h
-            self._adj[hi][lo] = h
+            bound = self.max_degree
+            if bound is not None and (len(at_lo) >= bound or len(at_hi) >= bound):
+                raise DegreeBoundExceeded(f"insert ({lo}, {hi}) exceeds degree bound {bound}")
+            at_lo[hi] = None
+            at_hi[lo] = None
             self.num_edges += 1
-        elif event.kind == DELETE:
-            h = self._adj[lo].pop(hi, None)
-            if h is None:
+        elif kind == DELETE:
+            value = adj[lo].pop(hi, _ABSENT)
+            if value is _ABSENT:
                 raise MissingEdge(f"edge ({lo}, {hi}) not present")
-            del self._adj[hi][lo]
+            del adj[hi][lo]
             self.num_edges -= 1
         else:
-            raise ValueError(f"unknown update kind {event.kind!r}")
+            raise ValueError(f"unknown update kind {kind!r}")
         self.seq += 1
 
         engine = self.engine
         if engine is None:
-            return UpdateReceipt(self.seq, event.kind, lo, hi, {})
+            return UpdateReceipt(self.seq, kind, lo, hi, {})
         try:
-            stats = engine.on_insert(h) if event.kind == INSERT else engine.on_delete(h)
+            if kind == INSERT:
+                stats = engine.on_insert(lo, hi)
+            else:
+                stats = engine.on_delete(lo, hi, value)
         except BaseException:
             self._failed_seq = self.seq
             raise
-        return UpdateReceipt(self.seq, event.kind, lo, hi, stats)
+        return UpdateReceipt(self.seq, kind, lo, hi, stats)
 
     def insert(self, u: int, v: int) -> UpdateReceipt:
         return self.apply(UpdateEvent(INSERT, u, v))
@@ -211,11 +233,13 @@ class DynamicGraph:
                 raise InternalInvariantViolation(
                     f"vertex {u}: degree {len(nbrs)} above the bound {self.max_degree}"
                 )
-            for v, h in nbrs.items():
-                back = adj[v].get(u)
-                if u == v or back is not h or (h.lo, h.hi) != (min(u, v), max(u, v)):
+            for v, c in nbrs.items():
+                # _ABSENT equals no slot value, so a one-sided edge fails too
+                back = adj[v].get(u, _ABSENT)
+                if u == v or back != c:
+                    there = "absent" if back is _ABSENT else repr(back)
                     raise InternalInvariantViolation(
-                        f"vertex {u}: edge to {v} is {h!r} here and {back!r} at {v}"
+                        f"vertex {u}: edge to {v} is {c!r} here and {there} at {v}"
                     )
         total = sum(map(len, adj))
         if total != 2 * self.num_edges:

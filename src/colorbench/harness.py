@@ -263,7 +263,7 @@ def audit_engine(
 
     The default audit recomputes properness, palette bounds, and the band /
     class-size invariants from adjacency and colors; edge-c's colors are read
-    from the graph's edge handles once, into one flat list in vertex order
+    from the graph's adjacency slots once, into one flat list in vertex order
     (``graph.handle_colors``), which serves properness and palette and, in a
     deep audit, the tree check. ``deep=True`` adds the checks of the engine's
     stored structures (run at termination); rand-vc's color tables are checked

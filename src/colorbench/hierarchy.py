@@ -65,7 +65,7 @@ from types import MappingProxyType
 from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantViolation, InvalidBase
-from .graph import DELETE, INSERT, EdgeHandle
+from .graph import DELETE, INSERT
 
 BOTTOM_LEVEL = 4
 
@@ -147,8 +147,8 @@ class LevelPartition:
 
     # -- structural updates ------------------------------------------------------
 
-    def on_structural_update(self, handle: EdgeHandle, kind: str) -> int:
-        """Absorb one edge update and drain both dirty queues.
+    def on_structural_update(self, lo: int, hi: int, kind: str) -> int:
+        """Absorb one update of edge (lo, hi) and drain both dirty queues.
 
         Returns the number of level moves performed (0 while dormant); the
         ``move_listener`` sees each one. The graph adjacency must already
@@ -158,7 +158,6 @@ class LevelPartition:
             self.cells_touched += 2  # the link or unlink a stored set would cost
             return 0
         level, below, same, pow_ = self.level, self.below, self.same, self.pow
-        lo, hi = handle.lo, handle.hi
         if kind == INSERT:
             in_q2 = self._in_q2
             for v, u in ((lo, hi), (hi, lo)):

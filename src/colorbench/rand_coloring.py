@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantViolation
-from .graph import DynamicGraph, EdgeHandle
+from .graph import DynamicGraph
 from .hierarchy import LevelPartition
 
 
@@ -83,9 +83,8 @@ class RandVertexColoring:
 
     # -- engine protocol ------------------------------------------------------
 
-    def on_insert(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
         c0, h0 = self.cells, self.hier.cells_touched
-        lo, hi = h.lo, h.hi
         chi, mu, level = self.chi, self.mu, self.hier.level
         # Count the new edge in the endpoints' upper tables while the levels
         # are still current: an endpoint tracks the other's color iff the
@@ -98,7 +97,7 @@ class RandVertexColoring:
             m = mu[hi]
             m[c_lo] = m.get(c_lo, 0) + 1
         self.cells += 2
-        moves = self.hier.on_structural_update(h, "+")
+        moves = self.hier.on_structural_update(lo, hi, "+")
         chain: List[Tuple[int, int]] = []
         pool_min = 0
         if c_lo == c_hi:
@@ -106,9 +105,8 @@ class RandVertexColoring:
             chain, pool_min = self.recolor(x)
         return self._receipt(moves, chain, pool_min, c0, h0)
 
-    def on_delete(self, h: EdgeHandle) -> Dict[str, int]:
+    def on_delete(self, lo: int, hi: int, value: None) -> Dict[str, int]:
         c0, h0 = self.cells, self.hier.cells_touched
-        lo, hi = h.lo, h.hi
         chi, mu, level = self.chi, self.mu, self.hier.level
         for v, u in ((lo, hi), (hi, lo)):
             if level[u] >= level[v]:
@@ -119,7 +117,7 @@ class RandVertexColoring:
                 else:
                     del m[c]
         self.cells += 2
-        moves = self.hier.on_structural_update(h, "-")
+        moves = self.hier.on_structural_update(lo, hi, "-")
         chain: List[Tuple[int, int]] = []
         pool_min = 0
         if self.adaptive:

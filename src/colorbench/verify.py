@@ -75,7 +75,7 @@ def check_edge_coloring(
     palette: Optional[int],
     colors: Optional[List[Optional[int]]] = None,
 ) -> Tuple[AuditReport, List[tuple]]:
-    """Properness and palette of the edge colors held by the graph's handles.
+    """Properness and palette of the edge colors held in the graph's adjacency.
 
     ``palette`` is the fixed palette, or None in adaptive mode, where edge
     (u, v) may use colors up to 2 * max(deg u, deg v) - 1. Returns the
@@ -101,8 +101,7 @@ def check_edge_coloring(
         if None not in distinct and len(distinct) == len(nbrs) and max(distinct) <= bound:
             continue
         seen: Dict[int, Tuple[int, int]] = {}
-        for u, h in nbrs.items():
-            c = h.color
+        for u, c in nbrs.items():
             e = (v, u) if v < u else (u, v)
             if c is None:
                 if v < u:

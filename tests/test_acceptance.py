@@ -321,7 +321,7 @@ def test_criterion_10_oracle_self_tests():
         for ev in generate(TraceSpec(n, delta, 400, delta, "uniform-random")):
             g.apply(ev)
         for v in range(0, n, 5):
-            held = {h.color for h in g._adj[v].values()}
+            held = set(g._adj[v].values())
             for a in range(1, 2 * delta + 1):
                 acc = 0
                 for b in range(a, 2 * delta + 1):

@@ -306,8 +306,8 @@ def test_deleting_every_edge_returns_every_class_to_the_shared_empty_set():
     for ev in generate(TraceSpec(60, 16, 2000, 13, "insert-heavy")):
         g.apply(ev)
     assert eng.fix_iterations_total > 0
-    for h in list(g.edges()):
-        g.delete(h.lo, h.hi)
+    for lo, hi in list(g.edges()):
+        g.delete(lo, hi)
     assert all(cls is NO_NEIGHBORS for v in range(g.n) for cls in row(eng, v)[1:])
     # length 0 is the graph's own adjacency, now empty
     assert all(row(eng, v)[0] is g._adj[v] and not g._adj[v] for v in range(g.n))
@@ -406,8 +406,8 @@ def test_rebuild_oracle_after_heavy_churn_and_drain():
             except Exception:
                 pass
     assert verify.check_tuple_state(g, eng).passed
-    for h in list(g.edges()):
-        g.delete(h.lo, h.hi)
+    for lo, hi in list(g.edges()):
+        g.delete(lo, hi)
     assert eng.phi == 0
     assert verify.check_tuple_state(g, eng).passed
 

@@ -126,6 +126,18 @@ def test_triangle_coloring_order():
     assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
+@pytest.mark.parametrize("delta", [3, None])
+def test_a_color_is_in_both_slots_and_the_edge_view_reads_it(delta):
+    g = new_graph(4, delta)
+    ec = EdgeColoring(g)
+    g.insert(0, 1)
+    c = g.insert(2, 1).stats["color_assigned"]
+    assert c == 2
+    assert g._adj[1][2] == g._adj[2][1] == c
+    assert g.handle(2, 1).color == g.handle(1, 2).color == c
+    g.check_adjacency()
+
+
 def test_star_fills_colors_in_order():
     delta = 9
     g = new_graph(10, delta)
@@ -157,7 +169,7 @@ def test_insert_delete_round_trip_restores_empty_state(delta):
     if delta is None:
         assert ec.held == [{}] * 4
     else:
-        assert ec.held is None  # fixed mode keeps no color -> handle map
+        assert ec.held is None  # fixed mode keeps no color -> endpoint map
     assert all(x == 0 for x in ec.tree[0])
     assert all(x == 0 for x in ec.tree[1])
 
@@ -218,7 +230,7 @@ def test_range_count_exhaustive_small_palettes():
         for ev in events:
             g.apply(ev)
         for v in (0, 5, 11):
-            held = {h.color for h in g._adj[v].values()}
+            held = set(g._adj[v].values())
             for a in range(1, 2 * delta + 1):
                 for b in range(a, 2 * delta + 1):
                     naive = sum(1 for c in held if a <= c < b)
@@ -317,9 +329,9 @@ def test_adaptive_random_trace_palette_per_edge():
 
 
 def reference_color(ec, u, v, span):
-    """The search run on full-width bitmaps rebuilt from the colored handles."""
+    """The search run on full-width bitmaps rebuilt from the colors in the adjacency."""
     adj = ec.graph._adj
-    held = [{h.color for h in adj[x].values()} - {None} for x in (u, v)]
+    held = [set(adj[x].values()) - {None} for x in (u, v)]
     lo, size = 1, span
     while size > 1:
         size >>= 1
@@ -335,13 +347,13 @@ def test_narrow_trees_pick_the_full_width_color(delta, mode):
     expected = []
     color = ec.color
 
-    def checked_color(h):
+    def checked_color(u, v):
         if delta is None:
-            span = _next_pow2(max(1, g.degree(h.lo) + g.degree(h.hi) - 1))
+            span = _next_pow2(max(1, g.degree(u) + g.degree(v) - 1))
         else:
             span = ec.cap
-        expected.append(reference_color(ec, h.lo, h.hi, span))
-        c, visits = color(h)
+        expected.append(reference_color(ec, u, v, span))
+        c, visits = color(u, v)
         assert c == expected[-1]
         return c, visits
 
@@ -421,9 +433,9 @@ def test_every_search_runs_through_color(monkeypatch, delta, mode):
     calls = []
     color = EdgeColoring.color
 
-    def counted(self, h):
-        calls.append(h)
-        return color(self, h)
+    def counted(self, u, v):
+        calls.append((u, v))
+        return color(self, u, v)
 
     monkeypatch.setattr(EdgeColoring, "color", counted)
     g, ec = make_engine("edge-c", 40, delta, seed=5)
@@ -489,7 +501,7 @@ def test_a_search_range_read_full_fails_the_update(delta, v, span):
         g.insert(0, v)
     assert ec.invariant_failures == 1
     assert ec.invariant_checks == checks + 1  # the one check made, on the whole span
-    assert g._adj[0][v].color is None
+    assert g._adj[0][v] is None
     assert_refuses_the_next_update(g)
 
 
@@ -508,7 +520,7 @@ def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, 
         g.insert(0, v)
     assert ec.invariant_failures == 1
     assert ec.invariant_checks == checks + span.bit_length()  # one check per level
-    assert g._adj[0][v].color is None
+    assert g._adj[0][v] is None
     assert_refuses_the_next_update(g)
 
 
@@ -578,7 +590,7 @@ def _bump(*indices):
 def _recolor(w, color_of):
     """Set the color of star edge (0, w) behind the engine's back."""
     def corrupt(g, ec):
-        g._adj[0][w].color = color_of(g)
+        g.handle(0, w).color = color_of(g)
     return corrupt
 
 
@@ -591,7 +603,7 @@ TREE_CORRUPTIONS = {
     "leaf-and-row-of-2": _bump(8, 2),
     "color-outside-the-tree": _recolor(5, lambda g: 9),
     "color-none": _recolor(3, lambda g: None),
-    "color-of-a-sibling-edge": _recolor(3, lambda g: g._adj[0][4].color),
+    "color-of-a-sibling-edge": _recolor(3, lambda g: g._adj[0][4]),
 }
 
 
@@ -599,7 +611,7 @@ TREE_CORRUPTIONS = {
 def test_self_check_names_what_the_row_rebuild_names(corrupt):
     g, ec = cap_8_star()
     corrupt(g, ec)
-    colors = [[h.color for h in nbrs.values()] for nbrs in g._adj]
+    colors = [list(nbrs.values()) for nbrs in g._adj]
     problems = [_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
     assert problems == [rebuilt_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
     assert problems[0]
@@ -622,17 +634,17 @@ def _drop_entry(g, ec):
     del ec.held[0][3]
 
 
-def _entry_to_another_handle(g, ec):
-    ec.held[0][3] = g._adj[0][2]
+def _entry_to_another_endpoint(g, ec):
+    ec.held[0][3] = 2
 
 
 def _extra_entry(g, ec):
-    ec.held[0][9] = g._adj[0][5]
+    ec.held[0][9] = 5
 
 
 COLOR_MAP_CORRUPTIONS = {
     "entry-dropped": _drop_entry,
-    "entry-to-another-handle": _entry_to_another_handle,
+    "entry-to-another-endpoint": _entry_to_another_endpoint,
     "extra-entry": _extra_entry,
 }
 
@@ -645,7 +657,7 @@ def test_adaptive_color_map_is_checked_against_the_handles(corrupt):
     ec = EdgeColoring(g)
     for w in range(1, 6):
         g.insert(0, w)
-    assert ec.held[0] == {h.color: h for h in g._adj[0].values()}
+    assert ec.held[0] == {c: w for w, c in g._adj[0].items()}
     ec.self_check()
     corrupt(g, ec)
     with pytest.raises(InternalInvariantViolation, match="vertex 0: color map differs"):

@@ -65,7 +65,7 @@ def test_edge_c_keeps_no_second_copy_of_its_colors():
     # Dense insert-heavy graph, about 16,000 edges. With a color -> handle map
     # per vertex beside the handles and the trees, fixed-mode edge-c took
     # 305 B per edge here; with the colors on the handles and in the trees
-    # only, 220 B.
+    # only, 220 B; with no handles, the colors in the adjacency slots, 163 B.
     per_edge = replay_bytes_per_edge("edge-c", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
     assert per_edge <= 260, per_edge
 
@@ -81,9 +81,10 @@ def tracked_objects_a_perfect_matching_adds(graph):
 
 
 def test_edge_c_tracks_one_container_per_vertex_with_a_tree():
-    # The bare graph adds a dict per vertex and a handle per edge, about 3,000
-    # objects here. A tree kept as an object holding a node list added two
-    # more per vertex; a tree kept as the bare node list adds one.
+    # The bare graph adds no tracked object here: its adjacency dicts hold
+    # ints and None only, so the collector does not track them (a handle per
+    # edge made it about 3,000). A tree kept as an object holding a node list
+    # added two more per vertex; a tree kept as the bare node list adds one.
     n = 2000
     tracked_objects_a_perfect_matching_adds(new_graph(n, 4))  # first-run allocations
     bare = tracked_objects_a_perfect_matching_adds(new_graph(n, 4))
@@ -93,6 +94,26 @@ def test_edge_c_tracks_one_container_per_vertex_with_a_tree():
     trees = sum(t is not None for t in engine.tree)
     assert trees == n
     assert added - bare <= trees, (bare, added)
+
+
+@pytest.mark.parametrize("name", [None, "greedy-baseline"])
+def test_an_insert_adds_no_tracked_object_per_edge(name):
+    # A handle per edge added one tracked object per edge and made each
+    # adjacency dict tracked: about 3,000 for these 1,000 edges.
+    n = 2000
+    tracked_objects_a_perfect_matching_adds(new_graph(n, 4))  # first-run allocations
+    graph = new_graph(n, 4) if name is None else make_engine(name, n, 4)[0]
+    added = tracked_objects_a_perfect_matching_adds(graph)
+    assert added <= 16, added
+
+
+def test_greedy_keeps_no_per_edge_object():
+    # Sparse insert-heavy graph, about 16,000 edges on 4,000 vertices. With a
+    # handle per edge stored under both endpoints, greedy-baseline took
+    # 141 B per edge here; with one adjacency slot per endpoint, 85 B.
+    spec = TraceSpec(4000, 32, 20_000, 3, "insert-heavy")
+    per_edge = replay_bytes_per_edge("greedy-baseline", spec)
+    assert per_edge <= 100, per_edge
 
 
 def tracked_objects_alive_after(build):
@@ -134,6 +155,7 @@ def test_det_vc_keeps_no_second_copy_of_the_adjacency():
     # Dense insert-heavy graph, about 16,000 edges. With its own copy of each
     # neighbour set at prefix length 0, det-vc took 316 B per edge here;
     # without it 164 B, and greedy-baseline, with no per-edge state, 142 B.
+    # With no handle per edge, det-vc takes 107 B and greedy-baseline 86 B.
     per_edge = replay_bytes_per_edge("det-vc", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
     assert per_edge <= 220, per_edge
 
@@ -143,5 +165,6 @@ def test_rand_vc_keeps_no_second_copy_of_the_adjacency_while_dormant():
     # default beta=21: beta**4 is far above delta, so no vertex leaves level 4.
     # With its own copy of each neighbour set at level 4, rand-vc took 362 B
     # per edge here; reading the graph's, 221 B, and greedy-baseline 141 B.
+    # With no handle per edge, rand-vc takes 165 B and greedy-baseline 85 B.
     per_edge = replay_bytes_per_edge("rand-vc", TraceSpec(4000, 32, 20_000, 3, "insert-heavy"))
     assert per_edge <= 290, per_edge

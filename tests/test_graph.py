@@ -1,4 +1,4 @@
-"""Dynamic graph core: update legality, degree accounting, handle cookies."""
+"""Dynamic graph core: update legality, degree accounting, adjacency slots and the edge view."""
 
 import random
 
@@ -86,7 +86,7 @@ def test_degree_sum_and_cookies_under_random_churn():
         assert g.num_edges == len(live)
     assert sum(g.degree(v) for v in range(30)) == 2 * g.num_edges
     g.check_adjacency()
-    assert {(h.lo, h.hi) for h in g.edges()} == live
+    assert set(g.edges()) == live
 
 
 def one_sided_graph():
@@ -115,8 +115,41 @@ def test_check_adjacency_raises_under_python_O(run_optimized):
     assert run_optimized(script).startswith("vertex 0: edge to 1 ")
 
 
+def test_check_adjacency_names_both_values_of_a_color_written_into_one_slot():
+    g = new_graph(4, 3)
+    g.insert(0, 1)
+    g._adj[0][1] = 3
+    expected = "^vertex 0: edge to 1 is 3 here and None at 1$"
+    with pytest.raises(InternalInvariantViolation, match=expected):
+        g.check_adjacency()
+
+
+def test_writing_a_color_through_the_edge_view_sets_both_slots():
+    g = new_graph(4, 3)
+    g.insert(2, 1)
+    h = g.handle(2, 1)
+    assert (h.lo, h.hi, h.color) == (1, 2, None)
+    h.color = 4
+    assert g._adj[1][2] == g._adj[2][1] == 4
+    assert g.handle(1, 2).color == 4
+    g.check_adjacency()
+
+
+def test_edge_view_is_the_same_from_either_end_and_absent_edges_raise():
+    g = new_graph(4, 3)
+    g.insert(0, 3)
+    g.insert(0, 2)
+    assert g.handle(3, 0) == g.handle(0, 3)
+    assert g.handle(0, 2) != g.handle(0, 3)
+    with pytest.raises(MissingEdge):
+        g.handle(0, 1)
+    g.delete(0, 3)
+    with pytest.raises(MissingEdge):
+        g.handle(3, 0)
+
+
 class RaisingEngine:
-    def on_insert(self, h):
+    def on_insert(self, lo, hi):
         raise RuntimeError("engine fault")
 
 

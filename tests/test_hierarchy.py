@@ -17,11 +17,11 @@ def attach(n, delta, beta):
         def __init__(self):
             self.part = LevelPartition(n, delta, beta)
 
-        def on_insert(self, h):
-            return {"level_moves": self.part.on_structural_update(h, "+")}
+        def on_insert(self, lo, hi):
+            return {"level_moves": self.part.on_structural_update(lo, hi, "+")}
 
-        def on_delete(self, h):
-            return {"level_moves": self.part.on_structural_update(h, "-")}
+        def on_delete(self, lo, hi, value):
+            return {"level_moves": self.part.on_structural_update(lo, hi, "-")}
 
     shim = Shim()
     g.attach(shim)
@@ -307,7 +307,7 @@ def test_unknown_update_kind_raises_before_any_write():
 
     before = snapshot()
     with pytest.raises(ValueError):
-        p.on_structural_update(g.handle(0, 1), "?")
+        p.on_structural_update(0, 1, "?")
     assert snapshot() == before
 
 

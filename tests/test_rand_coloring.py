@@ -45,8 +45,8 @@ def test_delete_never_recolors():
     g = new_graph(20, 8)
     eng = RandVertexColoring(g, seed=5)
     churn(g, 1, 400)
-    for h in list(g.edges()):
-        r = g.delete(h.lo, h.hi)
+    for lo, hi in list(g.edges()):
+        r = g.delete(lo, hi)
         assert r.stats["recolor_calls"] == 0
 
 
@@ -268,8 +268,8 @@ def test_tables_match_rebuild_after_level_moves():
         g.apply(ev)
     assert len(set(eng.hier.level)) > 1, "trace failed to exercise level moves"
     assert verify.rebuild_upper_color_counts(g, eng.hier, eng.chi) == eng.mu
-    for h in list(g.edges()):
-        g.delete(h.lo, h.hi)
+    for lo, hi in list(g.edges()):
+        g.delete(lo, hi)
     assert verify.rebuild_upper_color_counts(g, eng.hier, eng.chi) == eng.mu
     assert all(not m for m in eng.mu)
 
@@ -308,10 +308,10 @@ def test_adaptive_delete_recolors_stranded_color():
     g = new_graph(30, None)
     eng = RandVertexColoring(g, seed=11)
     churn(g, 78, 1200, n=30)
-    for h in list(g.edges()):
-        r = g.delete(h.lo, h.hi)
-        assert eng.chi[h.lo] <= g.degree(h.lo) + 1
-        assert eng.chi[h.hi] <= g.degree(h.hi) + 1
+    for lo, hi in list(g.edges()):
+        r = g.delete(lo, hi)
+        assert eng.chi[lo] <= g.degree(lo) + 1
+        assert eng.chi[hi] <= g.degree(hi) + 1
         assert verify.check_proper_vertex(g, eng.chi).passed
     assert eng.chi == [1] * 30
 

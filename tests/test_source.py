@@ -49,3 +49,25 @@ def test_oracles_import_nothing_from_the_package_but_the_graph():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name.split(".")[0] == "colorbench"]
     assert imported == [".graph"]
+
+
+def test_no_edge_object_is_built_on_the_update_path():
+    # The graph keeps an edge as two adjacency slots; an EdgeHandle is only
+    # the query view that DynamicGraph.handle returns.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "DynamicGraph":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "handle":
+                        allowed = set(map(id, ast.walk(fn)))
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EdgeHandle"
+            and id(node) not in allowed
+        ]
+    assert found == []

@@ -84,13 +84,13 @@ class EngineMachine(RuleBasedStateMachine):
 
     def snapshot(self):
         g, eng = self.graph, self.engine
-        adjacency = [[(w, h.lo, h.hi, h.color) for w, h in a.items()] for a in g._adj]
+        adjacency = [list(a.items()) for a in g._adj]
         if self.name == "edge-c":
             colors = list(eng.edge_colors().items())
         else:
             colors = eng.colors()
         # the engine's own structures: rand-vc's levels and color tables,
-        # edge-c's trees and, in adaptive mode, its color -> handle maps
+        # edge-c's trees and, in adaptive mode, its color -> endpoint maps
         state = None
         if isinstance(eng, RandVertexColoring):
             state = list(eng.hier.level), [list(m.items()) for m in eng.mu]

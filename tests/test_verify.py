@@ -302,16 +302,16 @@ def _assert_edge_audit_matches_the_reference(g, eng):
 
 def _share_a_color(g, eng, rng):
     v = rng.choice([v for v in range(g.n) if len(g._adj[v]) >= 2])
-    a, b = rng.sample(list(g._adj[v].values()), 2)
-    a.color = b.color
+    a, b = rng.sample(list(g._adj[v]), 2)
+    g.handle(v, a).color = g.handle(v, b).color
 
 
 def _uncolor(g, eng, rng):
-    rng.choice(list(g.edges())).color = None
+    g.handle(*rng.choice(list(g.edges()))).color = None
 
 
 def _above_the_palette(g, eng, rng):
-    h = rng.choice(list(g.edges()))
+    h = g.handle(*rng.choice(list(g.edges())))
     if eng.adaptive:
         h.color = 2 * max(len(g._adj[h.lo]), len(g._adj[h.hi]))
     else:
