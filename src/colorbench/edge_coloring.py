@@ -5,10 +5,10 @@ An edge's color is kept in the graph's adjacency, in both endpoints' slots
 implicit complete binary counting tree per vertex; only adaptive mode adds a
 map per vertex from a color to the other endpoint of the edge holding it,
 for the deletion fixups below. A vertex has no tree until its first edge; the
-tree then covers colors [1, cap], cap being the smallest power of two that
-holds every color the vertex has held, and doubles when a larger color lands
-there. A vertex of small degree therefore keeps a small tree whatever delta
-is, in fixed and adaptive mode alike.
+tree then covers colors [1, cap], cap a power of two, and grows when a
+larger color lands there or when an edge pairs it with a wider tree (below).
+A vertex of small degree among neighbors of small degree therefore keeps a
+small tree whatever delta is, in fixed and adaptive mode alike.
 
 A tree is a plain list ``node`` of 2 * cap counts: ``node[cap + c - 1]`` is
 color c's bit, every internal node holds the sum of its two children, and
@@ -16,28 +16,31 @@ color c's bit, every internal node holds the sum of its two children, and
 ``add``, ``count_range`` and ``grown`` work on such a list. A vertex thus
 holds one container the garbage collector tracks, not an object and a list.
 
+An edge's two trees have one width whenever the engine reads or writes them:
+before coloring or uncoloring an edge whose trees differ, ``_pair`` widens
+the narrower one with ``grown``, and gives a vertex with no tree an empty one
+as wide as its partner's (capacity 1 if neither has a tree). A color landing
+above that width grows both trees together. So a range is the same node in
+both trees, the search reads both with one node index, and a color is added
+or removed in one leaf-to-root walk over both.
+
 Coloring an inserted edge binary-searches [1, span + 1), where span is the
 palette rounded up to a power of two (fixed mode) or
 next_pow2(deg(u) + deg(v) - 1) (adaptive mode), descending into whichever
 half still has a color free at both endpoints. Where a search range is a
-node of an endpoint's tree, its count is one node read. Where the range is
-wider than the tree, the tree has no node for it: on the leftmost path the
-range holds all of the endpoint's colors, so the count is the root already
-in hand, and once the search turns right past the tree it holds none.
+node of the trees, its count is one node read per tree. Where the range is
+wider than the trees, they have no node for it: on the leftmost path the
+range holds all of both endpoints' colors, so the count is the roots'
+sum, and once the search turns right past the trees it holds none. So the
+levels wider than the trees are decided from the two roots alone, with no
+loop: the search turns right at the first such level no larger than the
+roots' sum, and then stops with the range's first color.
 
-So the levels wider than both trees are decided from the two roots alone,
-with no loop: the search turns right at the first such level no larger
-than the roots' sum. Once it has turned right past both trees every half is
-empty, and the search stops there with the range's first color. When both
-trees have the same width, a range is the same node in both, so the descent
-reads both trees with one node index; trees of two widths take a loop that
-keeps an index per tree. Adding or removing a color in two trees of one
-width is one leaf-to-root walk over both. None of this changes what is
-counted: a level with no node to read adds no visit, and its invariant
-check cannot fail (a left turn keeps the sum below the half's size, and
-past both trees it is 0), so tree_visits counts the same node reads and
-invariant_checks still adds one check per level, span.bit_length() per
-search.
+Only the check on the whole span can find a range full: once it passes, the
+count is below twice the next half's size, a left turn keeps it below the
+half's size, and a right turn subtracts at least that size. So the search
+makes two checks, that one and the landing check below, and
+invariant_checks counts those two per completed search.
 
 The landing color never exceeds deg(u) + deg(v) - 1: every rejected left
 half was fully occupied, so the colors below the landing point are covered
@@ -45,7 +48,8 @@ by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
 what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 2*max(deg(u), deg(v)) - 1 per edge (adaptive mode).
 
-Growing a tree copies its rows into a wider one; that copying is not
+Growing a tree copies its rows into a wider one, when a color lands above
+its width or when pairing widens it to its partner's; that copying is not
 counted in the tree_visits and cells_touched statistics, which count node
 reads and writes of the search and of the add/remove walks only. A copy
 costs O(cap), so an update that grows a tree does more than O(log delta)
@@ -129,10 +133,6 @@ def grown(node: List[int], new_cap: int) -> List[int]:
     return new
 
 
-# Stands in for the tree of a vertex that has never held a color; never written.
-_NO_COLORS = (0, 0)
-
-
 class EdgeColoring:
     """Edge-coloring engine; fixed palette 2*delta-1 or adaptive per-edge."""
 
@@ -190,15 +190,14 @@ class EdgeColoring:
 
         Fig-style binary search over [1, span+1): keep the invariant that the
         current range holds strictly fewer incident colors (over both
-        endpoints) than slots, preferring the left half.
+        endpoints) than slots, preferring the left half. The invariant is
+        checked on the whole span, the one range that can break it.
 
-        Levels wider than both trees are decided from the two roots without a
-        read, and the search stops once it turns right past both trees.
-        Trees of one width share a node index at every level, and the color
-        is added to both in one walk; trees of two widths take the loop with
-        an index per tree. Skipped levels read no node and their checks
-        cannot fail, so the visits, invariant checks and color are those of
-        a descent through every level.
+        The two trees are paired to one width first, so a range is the same
+        node in both and one node index reads them. Levels wider than the
+        trees are decided from the two roots without a read, and the search
+        stops once it turns right past the trees. The color is added to both
+        trees in one walk.
         """
         adj = self.graph._adj
         at_u, at_v = adj[u], adj[v]
@@ -209,92 +208,48 @@ class EdgeColoring:
         else:
             span = self.cap
         tree = self.tree
-        nu = tree[u] or _NO_COLORS
-        nv = tree[v] or _NO_COLORS
-        cu = len(nu) >> 1
-        cv = len(nv) >> 1
-        # iu == 0: u's tree has no node for the current range (see module doc)
-        iu = cu // span
-        iv = cv // span
-        su = nu[iu or 1]
-        sv = nv[iv or 1]
+        nu = tree[u]
+        nv = tree[v]
+        if nu is None or nv is None or len(nu) != len(nv):
+            nu, nv = self._pair(u, v)
+        cap = len(nu) >> 1
+        # the node counting [1, span], or the roots if the span is wider
+        i = cap // span or 1
+        count = nu[i] + nv[i]
         visits = 2
         size = span
         lo = 1
-        if su + sv >= size:
-            raise self._search_full(lo, size, span, u, v)
-        wide = cu if cu > cv else cv
-        if span > wide:
-            # The levels wider than both trees read no node: each range holds
+        if count >= size:
+            self.invariant_checks += 1
+            self.invariant_failures += 1
+            raise InternalInvariantViolation(
+                f"search range [1, {span + 1}) full while coloring ({u}, {v})"
+            )
+        if span > cap:
+            # The levels wider than the trees read no node: each range holds
             # both roots. The search turns right at the first one no larger
             # than their sum, the largest power of two in it, and is then past
-            # both trees, where every half is empty, so the color is lo.
-            roots = su + sv
-            if roots >= 2 * wide:
-                lo += 1 << (roots.bit_length() - 1)
+            # the trees, where every half is empty, so the color is lo.
+            if count >= 2 * cap:
+                lo += 1 << (count.bit_length() - 1)
                 size = 1
             else:
-                # the level of size wide reads the wider root again, or both
-                # roots if the widths are equal, and turns right past both
-                # trees if the roots fill it
-                size = wide
-                visits += 1 if cu != cv else 2
-                if roots >= size:
+                # the level of size cap reads the roots again, and turns
+                # right past the trees if they fill it
+                size = cap
+                visits += 2
+                if count >= size:
                     lo += size
                     size = 1
-        if cu == cv:
-            # One node index for both trees, node 1 if the range is the roots.
-            # Only the sum of the two counts steers, so it is kept as one.
-            i = iu or 1
-            count = su + sv
-            visits += 2 * (size.bit_length() - 1)
-            while size > 1:
-                size >>= 1
-                i <<= 1
-                left = nu[i] + nv[i]
-                if left < size:
-                    count = left
-                else:
-                    count -= left
-                    lo += size
-                    i += 1
-                if count >= size:
-                    raise self._search_full(lo, size, span, u, v)
-        else:
-            # A tree with no node for the range (index 0) has all of its
-            # colors in it on the leftmost path and none once the search is
-            # past the tree.
-            while size > 1:
-                size >>= 1
-                if lo == 1:
-                    iu = cu // size
-                    iv = cv // size
-                else:
-                    iu <<= 1
-                    iv <<= 1
-                if iu:
-                    lu = nu[iu]
-                    visits += 1
-                else:
-                    lu = su
-                if iv:
-                    lv = nv[iv]
-                    visits += 1
-                else:
-                    lv = sv
-                if lu + lv < size:
-                    su, sv = lu, lv
-                else:
-                    su -= lu
-                    sv -= lv
-                    lo += size
-                    # node 1 is a root: the range right of it is past the tree
-                    iu = iu + 1 if iu > 1 else 0
-                    iv = iv + 1 if iv > 1 else 0
-                if su + sv >= size:
-                    raise self._search_full(lo, size, span, u, v)
-        # one check per level, size span down to 1
-        self.invariant_checks += span.bit_length()
+        visits += 2 * (size.bit_length() - 1)
+        while size > 1:
+            size >>= 1
+            i <<= 1
+            if nu[i] + nv[i] >= size:
+                lo += size
+                i += 1
+        # the whole-span check above and the landing check below
+        self.invariant_checks += 2
 
         c = lo
         # rejected left halves were full, so colors below c are covered by
@@ -308,36 +263,37 @@ class EdgeColoring:
         if self.adaptive:
             self.held[u][c] = v
             self.held[v][c] = u
-        # create or grow each tree so that it covers c
-        if nu is _NO_COLORS:
-            nu = tree[u] = [0] * (2 * _next_pow2(c))
-        elif cu < c:
-            nu = tree[u] = grown(nu, _next_pow2(c))
-        if nv is _NO_COLORS:
-            nv = tree[v] = [0] * (2 * _next_pow2(c))
-        elif cv < c:
-            nv = tree[v] = grown(nv, _next_pow2(c))
-        i = (len(nu) >> 1) + c - 1
-        if len(nu) == len(nv):
-            # one leaf-to-root walk; a walk visits one node per level
-            visits += 2 * i.bit_length()
-            while i:
-                nu[i] += 1
-                nv[i] += 1
-                i >>= 1
-        else:
-            visits += add(nu, c, 1) + add(nv, c, 1)
+        if c > cap:
+            cap = _next_pow2(c)
+            nu = tree[u] = grown(nu, cap)
+            nv = tree[v] = grown(nv, cap)
+        # one leaf-to-root walk over both trees, one node per level each
+        i = cap + c - 1
+        visits += 2 * i.bit_length()
+        while i:
+            nu[i] += 1
+            nv[i] += 1
+            i >>= 1
         if c > self.max_color_seen:
             self.max_color_seen = c
         return c, visits
 
-    def _search_full(self, lo: int, size: int, span: int, u: int, v: int) -> Exception:
-        """Count a search range found full; returns the exception to raise."""
-        self.invariant_checks += (span // size).bit_length()
-        self.invariant_failures += 1
-        return InternalInvariantViolation(
-            f"search range [{lo}, {lo + size}) full while coloring ({u}, {v})"
-        )
+    def _pair(self, u: int, v: int) -> Tuple[List[int], List[int]]:
+        """Give u's and v's trees one width; returns them.
+
+        A vertex with no tree starts from an empty one of capacity 1, and the
+        narrower tree is widened to the other's width.
+        """
+        tree = self.tree
+        nu = tree[u] or [0, 0]
+        nv = tree[v] or [0, 0]
+        if len(nu) < len(nv):
+            nu = grown(nu, len(nv) >> 1)
+        elif len(nv) < len(nu):
+            nv = grown(nv, len(nu) >> 1)
+        tree[u] = nu
+        tree[v] = nv
+        return nu, nv
 
     def _uncolor(self, u: int, v: int, c: int) -> int:
         """Take color c of edge (u, v) out of both endpoints' trees and maps;
@@ -346,15 +302,15 @@ class EdgeColoring:
             del self.held[u][c], self.held[v][c]
         nu = self.tree[u]
         nv = self.tree[v]
+        if len(nu) != len(nv):
+            nu, nv = self._pair(u, v)
         i = (len(nu) >> 1) + c - 1
-        if len(nu) == len(nv):
-            visits = 2 * i.bit_length()
-            while i:
-                nu[i] -= 1
-                nv[i] -= 1
-                i >>= 1
-            return visits
-        return add(nu, c, -1) + add(nv, c, -1)
+        visits = 2 * i.bit_length()
+        while i:
+            nu[i] -= 1
+            nv[i] -= 1
+            i >>= 1
+        return visits
 
     def _shrink_fixups(self, u: int, v: int) -> Tuple[int, int]:
         """Re-color incident edges stranded above their shrunken palettes.

@@ -160,6 +160,54 @@ def test_tree_width_follows_the_largest_color_held():
     ec.self_check()
 
 
+def test_a_vertex_without_a_tree_gets_its_partners_width():
+    g = new_graph(40, 32)
+    ec = EdgeColoring(g)
+    for v in range(1, 10):
+        g.insert(0, v)
+    g.delete(0, 2)  # frees color 2
+    assert tree_cap(ec.tree[0]) == 16 and ec.tree[20] is None
+    assert g.insert(0, 20).stats["color_assigned"] == 2
+    assert tree_cap(ec.tree[20]) == 16  # its partner's width, not next_pow2(2)
+    assert g.insert(21, 22).stats["color_assigned"] == 1
+    assert tree_cap(ec.tree[21]) == tree_cap(ec.tree[22]) == 1
+    ec.self_check()
+
+
+@pytest.mark.parametrize("delta, mode", [(16, "uniform-random"), (None, "sliding-window")])
+def test_coloring_or_uncoloring_an_edge_leaves_its_trees_at_one_width(delta, mode):
+    g, ec = make_engine("edge-c", 40, delta, seed=7)
+    written = []
+    color, uncolor = ec.color, ec._uncolor
+
+    def one_width(u, v):
+        written.append((u, v))
+        assert len(ec.tree[u]) == len(ec.tree[v])
+
+    def checked_color(u, v):
+        c, visits = color(u, v)
+        one_width(u, v)
+        return c, visits
+
+    def checked_uncolor(u, v, c):
+        visits = uncolor(u, v, c)
+        one_width(u, v)
+        return visits
+
+    # a shrink fixup recolors another edge of u or v, which may pair (and so
+    # widen) one of the deleted edge's trees after the delete wrote them
+    ec.color, ec._uncolor = checked_color, checked_uncolor
+    fixups = 0
+    for ev in generate(TraceSpec(40, delta, 1500, 7, mode)):
+        written.clear()
+        r = g.apply(ev)
+        assert written[0] == (min(ev.u, ev.v), max(ev.u, ev.v))
+        assert len(written) == 1 + 2 * r.stats["recolored_edges"]
+        fixups += r.stats["recolored_edges"]
+        ec.self_check()
+    assert (fixups > 0) == (delta is None)
+
+
 @pytest.mark.parametrize("delta", [3, None])
 def test_insert_delete_round_trip_restores_empty_state(delta):
     g = new_graph(4, delta)
@@ -397,17 +445,20 @@ def test_colors_match_the_full_width_golden(n, delta, seed, mode):
 # sha256 of every receipt's fields (in RECEIPT_FIELDS order) and of the sorted
 # final edge_colors() items, and the invariant_checks total. The dense trace
 # searches palette-wide trees at both endpoints in most inserts; the adaptive
-# one has deletes leave trees wider than the search span.
+# one has deletes leave trees wider than the search span. The receipts and
+# totals were recorded again when an edge's two trees were first paired to
+# one width (a widened tree's nodes are read, and two checks are counted per
+# search); the final colors did not change.
 RECEIPT_GOLDEN = {
     (129, 128, 20000, 11, "insert-heavy"): (
-        "2914ca44669465a23332ce6daf6bbbe8b3040613b783f325ca09c1a8f13ee4fb",
+        "5a611134ed831c770bf720a6ad7a673c8267084389b19611a01e84bf190f56c3",
         "3bfb309ab3060885f645e6bd8cc29d6fda0b9160f0fe359c364071449474f391",
-        126684,
+        28152,
     ),
     (60, None, 6000, 13, "sliding-window"): (
-        "9441194f6f6ec616ddd3e3864e16828a3e880771534062cf7ab44ca64ca7dcc3",
+        "6da38b7712d8674fea69ca1dad91a0f01bd87a3346008248848c60e750cdcd6e",
         "5a485e62f0b45aea4415687818f7f7188f14573ff2da76b719902adfa9121ca9",
-        16985,
+        7724,
     ),
 }
 
@@ -456,7 +507,9 @@ def two_wide_trees(delta):
     color 1 in a tree of capacity 1.
 
     Edge (0, 3) took color 5 while both endpoints held colors 1 and 2, which
-    grew both trees; deleting it, (0, 2) and (3, 5) leaves them wide.
+    grew both trees; deleting it, (0, 2) and (3, 5) leaves them wide, and
+    pairing widens the trees of 2 and 5 to 8 as well. Vertex 4 last shared
+    an edge with 3 while both trees had capacity 1.
     """
     g = new_graph(6, delta)
     ec = EdgeColoring(g)
@@ -465,15 +518,16 @@ def two_wide_trees(delta):
     assert g.insert(0, 3).stats["color_assigned"] == 5
     for u, v in ((0, 3), (0, 2), (3, 5)):
         g.delete(u, v)
-    assert [tree_cap(t) for t in ec.tree] == [8, 1, 2, 8, 1, 2]
+    assert [tree_cap(t) for t in ec.tree] == [8, 1, 8, 8, 1, 8]
     ec.self_check()
     return g, ec
 
 
-# Inserting (0, v): v = 3 gives both endpoints trees of one width, v = 4
-# trees of two widths. Both endpoints then have degree 2, so the search span
-# is the palette's 8 in fixed mode and next_pow2(3) = 4 in adaptive mode,
-# where the trees of 0 and 3 are twice as wide as the span.
+# Inserting (0, v): v = 3 finds both endpoints' trees at one width, v = 4 a
+# tree of capacity 1 that the search widens to 0's capacity 8 first. Both
+# endpoints then have degree 2, so the search span is the palette's 8 in
+# fixed mode and next_pow2(3) = 4 in adaptive mode, where the trees are
+# twice as wide as the span.
 SEARCHES = {
     "fixed-equal-widths": (4, 3, 8),
     "fixed-unequal-widths": (4, 4, 8),
@@ -482,7 +536,11 @@ SEARCHES = {
 }
 
 
-def assert_refuses_the_next_update(g):
+def assert_paired_and_refuses_the_next_update(g, ec, v):
+    # the search paired the trees before it failed: v's tree, widened or
+    # not, still counts its one color
+    assert tree_cap(ec.tree[0]) == tree_cap(ec.tree[v]) == 8
+    assert _tree_problem(ec.tree[v], [1]) == ""
     with pytest.raises(InternalInvariantViolation, match="failed in the engine"):
         g.insert(1, 2)
 
@@ -502,7 +560,7 @@ def test_a_search_range_read_full_fails_the_update(delta, v, span):
     assert ec.invariant_failures == 1
     assert ec.invariant_checks == checks + 1  # the one check made, on the whole span
     assert g._adj[0][v] is None
-    assert_refuses_the_next_update(g)
+    assert_paired_and_refuses_the_next_update(g, ec, v)
 
 
 @pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
@@ -519,9 +577,9 @@ def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, 
     ):
         g.insert(0, v)
     assert ec.invariant_failures == 1
-    assert ec.invariant_checks == checks + span.bit_length()  # one check per level
+    assert ec.invariant_checks == checks + 2  # the whole-span and the landing check
     assert g._adj[0][v] is None
-    assert_refuses_the_next_update(g)
+    assert_paired_and_refuses_the_next_update(g, ec, v)
 
 
 # -- self-check ------------------------------------------------------------------------------

@@ -414,7 +414,10 @@ def test_det_vc_fallback_writes_the_greedy_columns():
 # rand-vc's draw columns and totals were re-recorded when its draw became
 # uniform over every blank or unique color; its level moves did not change.
 # det-vc's were re-recorded when vertex v started at color (v mod palette)+1
-# instead of (1, ..., 1); its phi_after column did not change.
+# instead of (1, ..., 1); its phi_after column did not change. edge-c's
+# tree_visits, cells_touched and cum_cells_touched columns and totals were
+# re-recorded when an edge's two trees were first paired to one width, so a
+# widened tree's nodes are read; its color_assigned column did not change.
 CSV_TRACE_GOLDEN = {
     "sequence_number": "44a5281ba25c322fbc1854442ab7d61574e67c11b1ed57f1565d7fac8b56b06f",
     "kind": "5c0560395000fd071405e875a0edf40a2ccd1b9509498fc4435d5a2829ad970e",
@@ -440,11 +443,11 @@ CSV_ENGINE_GOLDEN = {
         "cum_cells_touched": "302de2e8eb9c98568a5360ce73bd5fafa5b46fb9e0faa792b89d52f52b822af2",
     },
     "edge-c": {
-        "tree_visits": "ba7036136382e9d04fb46d7e2459ae92d53f8eb6e238b7f6e5aaf20c92a2d0c4",
+        "tree_visits": "e7910d450052c61263d713a611a3716b424ebdbe1596785afe56ee94d957b64a",
         "recolored_edges": "b633e8bfe5e8af07bf517e7d431a845d88e9355ad859fc0202ba30375ef41e9f",
         "color_assigned": "731ab1e7097cbfeaa88f249349189d64bfbf9cbf4d5e8fb5687453b2c34fdcbc",
-        "cells_touched": "ba7036136382e9d04fb46d7e2459ae92d53f8eb6e238b7f6e5aaf20c92a2d0c4",
-        "cum_cells_touched": "d6f1810901f50bc7103bd8811220c5a18a7fbd0af464f21b27e221a6e6b161e9",
+        "cells_touched": "e7910d450052c61263d713a611a3716b424ebdbe1596785afe56ee94d957b64a",
+        "cum_cells_touched": "fcf4e6536756e71ecb410e55f0f678835f396cda1917aa1cc2b314925070ba42",
     },
     "greedy-baseline": {
         "recolor_calls": "a0e89a37e8cdf3006abf10ff793b8254909b50d3d58d237888d3b5c08ebb2043",
@@ -456,7 +459,7 @@ TOTALS_GOLDEN = {
     "rand-vc": {"recolor_calls": 93, "level_moves": 64, "chain_len_max": 2,
                 "cum_cells_touched": 23994},
     "det-vc": {"fix_iterations": 648, "cum_cells_touched": 40347},
-    "edge-c": {"recolored_edges": 0, "tree_visits": 76747, "cum_cells_touched": 76747},
+    "edge-c": {"recolored_edges": 0, "tree_visits": 83494, "cum_cells_touched": 83494},
     "greedy-baseline": {"recolor_calls": 3006, "cum_cells_touched": 45058},
 }
 
