@@ -157,7 +157,7 @@ class DetParams:
 class TupleVertexColoring:
     """Deterministic lam**L-palette engine for a degree-bounded graph."""
 
-    # the keys of every on_insert / on_delete receipt, in order
+    # what every on_insert / on_delete returns, in order
     RECEIPT_FIELDS = (
         "fix_iterations", "coords_rewritten", "phi_before", "phi_after", "cells_touched"
     )
@@ -200,7 +200,7 @@ class TupleVertexColoring:
         self.cells += i + 1
         return i
 
-    def on_insert(self, u: int, v: int) -> Dict[str, int]:
+    def on_insert(self, u: int, v: int) -> Tuple[int, ...]:
         c0 = self.cells
         i = self._common_prefix(u, v)
         nst, w = self.nstar, self.params.levels + 1
@@ -214,20 +214,14 @@ class TupleVertexColoring:
         self.cells += 2 * (i + 1)
         phi_before = self.phi
 
-        repairs = rewritten = 0
         if over:
             # both endpoints, u first, whichever is over, as a check of
             # every class queued them
             repairs, rewritten = self.fix_invariant((u, v))
-        return {
-            "fix_iterations": repairs,
-            "coords_rewritten": rewritten,
-            "phi_before": phi_before,
-            "phi_after": self.phi,
-            "cells_touched": self.cells - c0,
-        }
+            return repairs, rewritten, phi_before, self.phi, self.cells - c0
+        return 0, 0, phi_before, phi_before, self.cells - c0
 
-    def on_delete(self, u: int, v: int, value: None) -> Dict[str, int]:
+    def on_delete(self, u: int, v: int, value: None) -> Tuple[int, ...]:
         c0 = self.cells
         i = self._common_prefix(u, v)
         nst, w = self.nstar, self.params.levels + 1
@@ -237,13 +231,11 @@ class TupleVertexColoring:
         self.phi -= 2 * (i + 1)
         self.cells += 2 * (i + 1)
         # Dropping a neighbor can only shrink prefix classes; no repair needed.
-        return {
-            "fix_iterations": 0,
-            "coords_rewritten": 0,
-            "phi_before": self.phi,
-            "phi_after": self.phi,
-            "cells_touched": self.cells - c0,
-        }
+        return 0, 0, self.phi, self.phi, self.cells - c0
+
+    def totals(self) -> Dict[str, int]:
+        """The run's repair iterations and cells since the engine was built."""
+        return {"fix_iterations": self.fix_iterations_total, "cum_cells_touched": self.cells}
 
     # -- repair loop -----------------------------------------------------------
 
@@ -381,7 +373,7 @@ class GreedyVertexColoring:
     """O(delta) baseline: a conflicting insert rescans one endpoint's
     neighborhood and takes the smallest free color."""
 
-    # the keys of every on_insert / on_delete receipt, in order
+    # what every on_insert / on_delete returns, in order
     RECEIPT_FIELDS = ("recolor_calls", "cells_touched")
 
     def __init__(self, graph: DynamicGraph):
@@ -390,28 +382,32 @@ class GreedyVertexColoring:
         self.palette = cap + 1
         self.chi = [1] * graph.n
         self.cells = 0
+        self.recolor_calls = 0
         graph.attach(self)
 
-    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
-        c0 = self.cells
-        recolors = 0
+    def on_insert(self, lo: int, hi: int) -> Tuple[int, int]:
         chi = self.chi
-        if chi[lo] == chi[hi]:
-            v = hi
-            used = set()
-            for w in self.graph.neighbors(v):
-                used.add(chi[w])
-            self.cells += self.graph.degree(v)
-            c = 1
-            while c in used:
-                c += 1
-            self.cells += c
-            chi[v] = c
-            recolors = 1
-        return {"recolor_calls": recolors, "cells_touched": self.cells - c0}
+        if chi[lo] != chi[hi]:
+            return 0, 0
+        v = hi
+        used = set()
+        for w in self.graph.neighbors(v):
+            used.add(chi[w])
+        c = 1
+        while c in used:
+            c += 1
+        cells = self.graph.degree(v) + c
+        self.cells += cells
+        chi[v] = c
+        self.recolor_calls += 1
+        return 1, cells
 
-    def on_delete(self, lo: int, hi: int, value: None) -> Dict[str, int]:
-        return {"recolor_calls": 0, "cells_touched": 0}
+    def on_delete(self, lo: int, hi: int, value: None) -> Tuple[int, int]:
+        return 0, 0
+
+    def totals(self) -> Dict[str, int]:
+        """The run's recolors and cells since the engine was built."""
+        return {"recolor_calls": self.recolor_calls, "cum_cells_touched": self.cells}
 
     def colors(self) -> List[int]:
         return list(self.chi)

@@ -136,7 +136,7 @@ def grown(node: List[int], new_cap: int) -> List[int]:
 class EdgeColoring:
     """Edge-coloring engine; fixed palette 2*delta-1 or adaptive per-edge."""
 
-    # the keys of every on_insert / on_delete receipt, in order
+    # what every on_insert / on_delete returns, in order
     RECEIPT_FIELDS = ("tree_visits", "recolored_edges", "color_assigned", "cells_touched")
 
     def __init__(self, graph: DynamicGraph):
@@ -157,30 +157,35 @@ class EdgeColoring:
         self.invariant_checks = 0
         self.invariant_failures = 0
         self.max_color_seen = 0
+        # run totals
+        self.tree_visits = 0
+        self.recolored_edges = 0
         graph.attach(self)
 
     # -- engine protocol ---------------------------------------------------------
 
-    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
+    def on_insert(self, lo: int, hi: int) -> Tuple[int, int, int, int]:
         c, visits = self.color(lo, hi)
-        return {
-            "tree_visits": visits,
-            "recolored_edges": 0,
-            "color_assigned": c,
-            "cells_touched": visits,
-        }
+        self.tree_visits += visits
+        return visits, 0, c, visits
 
-    def on_delete(self, lo: int, hi: int, value: int) -> Dict[str, int]:
+    def on_delete(self, lo: int, hi: int, value: int) -> Tuple[int, int, int, int]:
         visits = self._uncolor(lo, hi, value)
         recolored = 0
         if self.adaptive:
             recolored, extra = self._shrink_fixups(lo, hi)
             visits += extra
+            self.recolored_edges += recolored
+        self.tree_visits += visits
+        return visits, recolored, 0, visits
+
+    def totals(self) -> Dict[str, int]:
+        """The run's recolored edges and tree visits since the engine was
+        built; a tree visit is its cell."""
         return {
-            "tree_visits": visits,
-            "recolored_edges": recolored,
-            "color_assigned": 0,
-            "cells_touched": visits,
+            "recolored_edges": self.recolored_edges,
+            "tree_visits": self.tree_visits,
+            "cum_cells_touched": self.tree_visits,
         }
 
     # -- coloring ----------------------------------------------------------------
@@ -281,12 +286,13 @@ class EdgeColoring:
     def _pair(self, u: int, v: int) -> Tuple[List[int], List[int]]:
         """Give u's and v's trees one width; returns them.
 
-        A vertex with no tree starts from an empty one of capacity 1, and the
-        narrower tree is widened to the other's width.
+        A vertex with no tree gets an empty one as wide as its partner's, or
+        of capacity 1 if neither has one; otherwise the narrower tree is
+        widened to the other's width.
         """
         tree = self.tree
-        nu = tree[u] or [0, 0]
-        nv = tree[v] or [0, 0]
+        nu = tree[u] or [0] * len(tree[v] or (0, 0))
+        nv = tree[v] or [0] * len(nu)
         if len(nu) < len(nv):
             nu = grown(nu, len(nv) >> 1)
         elif len(nv) < len(nu):

@@ -2,7 +2,12 @@
 
 The graph is the source of truth for adjacency and degrees. A coloring
 engine may be attached; every accepted update notifies it exactly once and
-the engine's instrumentation comes back in the receipt.
+the engine's instrumentation comes back in the receipt. The engine returns
+that instrumentation as a tuple of values in the order of its
+``RECEIPT_FIELDS``, and the receipt is a tuple that keeps the values and
+the field names side by side: ``stats``, the dict of the two, is built only
+when it is read. Run totals are the engine's own counters, not a fold of
+receipts.
 
 The graph keeps no object per edge. ``_adj[v]`` maps each neighbor u of v
 to the edge's slot: its color under the edge-coloring engine, which writes
@@ -13,7 +18,8 @@ also hands it the slot just removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -77,15 +83,25 @@ class UpdateEvent:
     v: int
 
 
-@dataclass
-class UpdateReceipt:
-    """What one accepted update did, including downstream engine work."""
+class UpdateReceipt(namedtuple("UpdateReceipt", "sequence_number kind u v values fields")):
+    """What one accepted update did, including downstream engine work.
 
-    sequence_number: int
-    kind: str
-    u: int
-    v: int
-    stats: Dict[str, int] = field(default_factory=dict)
+    ``values`` is the engine's work in the order of ``fields``, its
+    ``RECEIPT_FIELDS`` (both empty with no engine attached). ``apply`` builds
+    the tuple in one C call and no dict; ``stats`` maps each field to its
+    value and is built anew each time it is read.
+    """
+
+    __slots__ = ()
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        return dict(zip(self.fields, self.values))
+
+
+# builds an UpdateReceipt from one tuple in C; the namedtuple's own __new__
+# is a Python-level function
+_receipt = tuple.__new__
 
 
 class DynamicGraph:
@@ -205,16 +221,16 @@ class DynamicGraph:
 
         engine = self.engine
         if engine is None:
-            return UpdateReceipt(self.seq, kind, lo, hi, {})
+            return _receipt(UpdateReceipt, (self.seq, kind, lo, hi, (), ()))
         try:
             if kind == INSERT:
-                stats = engine.on_insert(lo, hi)
+                values = engine.on_insert(lo, hi)
             else:
-                stats = engine.on_delete(lo, hi, value)
+                values = engine.on_delete(lo, hi, value)
         except BaseException:
             self._failed_seq = self.seq
             raise
-        return UpdateReceipt(self.seq, kind, lo, hi, stats)
+        return _receipt(UpdateReceipt, (self.seq, kind, lo, hi, values, engine.RECEIPT_FIELDS))
 
     def insert(self, u: int, v: int) -> UpdateReceipt:
         return self.apply(UpdateEvent(INSERT, u, v))

@@ -12,7 +12,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import verify
@@ -30,12 +29,6 @@ from .rand_coloring import RandVertexColoring
 
 MODES = ("uniform-random", "insert-heavy", "sliding-window", "conflict-heavy")
 ENGINES = ("rand-vc", "det-vc", "edge-c", "greedy-baseline")
-
-# Receipt fields a run adds up, in the order of its totals; an engine's totals
-# hold those it reports, rand-vc's longest chain, then cum_cells_touched.
-SUMMED_FIELDS = (
-    "recolor_calls", "fix_iterations", "recolored_edges", "level_moves", "tree_visits"
-)
 
 
 @dataclass(frozen=True)
@@ -359,6 +352,9 @@ def run(
     with ``update`` set to the update's 1-based index. A vertex id outside
     [0, n) anywhere in the trace raises UnknownVertex that way before any
     output is written.
+
+    The totals are the engine's own counters, read once at the end; the
+    loop reads a receipt only to write its CSV row.
     """
     for ev in events:  # no enumerate: this pass runs before every replay
         if not (0 <= ev.u < n and 0 <= ev.v < n):
@@ -369,7 +365,6 @@ def run(
             raise exc
     graph, engine = make_engine(engine_name, n, delta, seed=seed, beta=beta)
     fields = engine.RECEIPT_FIELDS
-    row_fields = itemgetter(*fields)
     writer = None
     if metrics_out is not None:
         writer = csv.writer(metrics_out, lineterminator="\n")
@@ -382,9 +377,7 @@ def run(
             f'"delta": {delta if delta is not None else "null"}, "seed": {seed}}}\n'
         )
 
-    sums = {key: 0 for key in SUMMED_FIELDS if key in fields}
-    chained = "chain_len_max" in fields
-    chain_max = 0
+    cells_at = fields.index("cells_touched")
     cum_cells = 0
     result = RunResult(engine_name, 0, len(events), graph=graph, engine_obj=engine)
 
@@ -404,19 +397,15 @@ def run(
         except InputError as exc:
             exc.update = idx
             raise
-        stats = receipt.stats
-        cum_cells += stats["cells_touched"]
-        for key in sums:
-            sums[key] += stats[key]
-        if chained and stats["chain_len_max"] > chain_max:
-            chain_max = stats["chain_len_max"]
         audit_status = ""
         if audit_every and idx % audit_every == 0:
             audit_status = "pass" if do_audit(f"update-{idx}") else "fail"
         if writer is not None:
+            values = receipt.values
+            cum_cells += values[cells_at]
             writer.writerow(
                 (receipt.sequence_number, engine_name, receipt.kind, receipt.u, receipt.v)
-                + row_fields(stats)
+                + values
                 + (cum_cells, audit_status)
             )
         if audit_status == "fail":
@@ -427,10 +416,7 @@ def run(
         if not do_audit("final", deep=True):
             result.exit_code = 1
 
-    if chained:
-        sums["chain_len_max"] = chain_max
-    sums["cum_cells_touched"] = cum_cells
-    result.totals = sums
+    result.totals = engine.totals()
     return result
 
 

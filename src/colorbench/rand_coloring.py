@@ -44,7 +44,7 @@ class RandVertexColoring:
     adversary); replaying a trace with the same seed reproduces every draw.
     """
 
-    # the keys of every on_insert / on_delete receipt, in order
+    # what every on_insert / on_delete returns, in order
     RECEIPT_FIELDS = (
         "recolor_calls", "chain_len_max", "pool_size_min", "cells_touched", "level_moves"
     )
@@ -75,15 +75,19 @@ class RandVertexColoring:
         self.tau = [0] * n
         self.mu: List[Dict[int, int]] = [dict() for _ in range(n)]
 
-        # instrumentation
+        # instrumentation; the run totals are these counters and the
+        # hierarchy's cells
         self.cells = 0
+        self.recolor_calls = 0
+        self.level_moves = 0
+        self.chain_len_max = 0
         self.claim_checks = 0
         self.max_color_seen = max(self.chi, default=0)
         graph.attach(self)
 
     # -- engine protocol ------------------------------------------------------
 
-    def on_insert(self, lo: int, hi: int) -> Dict[str, int]:
+    def on_insert(self, lo: int, hi: int) -> Tuple[int, ...]:
         c0, h0 = self.cells, self.hier.cells_touched
         chi, mu, level = self.chi, self.mu, self.hier.level
         # Count the new edge in the endpoints' upper tables while the levels
@@ -105,7 +109,7 @@ class RandVertexColoring:
             chain, pool_min = self.recolor(x)
         return self._receipt(moves, chain, pool_min, c0, h0)
 
-    def on_delete(self, lo: int, hi: int, value: None) -> Dict[str, int]:
+    def on_delete(self, lo: int, hi: int, value: None) -> Tuple[int, ...]:
         c0, h0 = self.cells, self.hier.cells_touched
         chi, mu, level = self.chi, self.mu, self.hier.level
         for v, u in ((lo, hi), (hi, lo)):
@@ -129,13 +133,25 @@ class RandVertexColoring:
                     pool_min = min(pool_min, pmin) if pool_min else pmin
         return self._receipt(moves, chain, pool_min, c0, h0)
 
-    def _receipt(self, moves, chain, pool_min, c0, h0) -> Dict[str, int]:
+    def _receipt(self, moves, chain, pool_min, c0, h0) -> Tuple[int, ...]:
+        """Count one update in the run totals; its values in RECEIPT_FIELDS order."""
+        k = len(chain)
+        if k:
+            self.recolor_calls += k
+            if k > self.chain_len_max:
+                self.chain_len_max = k
+        self.level_moves += moves
+        cells = (self.cells - c0) + (self.hier.cells_touched - h0)
+        return k, k, pool_min, cells, moves
+
+    def totals(self) -> Dict[str, int]:
+        """The run's recolors, level moves, longest chain and cells since the
+        engine was built."""
         return {
-            "recolor_calls": len(chain),
-            "chain_len_max": len(chain),
-            "pool_size_min": pool_min,
-            "cells_touched": (self.cells - c0) + (self.hier.cells_touched - h0),
-            "level_moves": moves,
+            "recolor_calls": self.recolor_calls,
+            "level_moves": self.level_moves,
+            "chain_len_max": self.chain_len_max,
+            "cum_cells_touched": self.cells + self.hier.cells_touched,
         }
 
     # -- recoloring ---------------------------------------------------------------

@@ -174,6 +174,29 @@ def test_a_vertex_without_a_tree_gets_its_partners_width():
     ec.self_check()
 
 
+def test_a_vertex_without_a_tree_gets_a_fresh_one_not_a_copy(monkeypatch):
+    g = new_graph(40, 32)
+    ec = EdgeColoring(g)
+    for v in range(6, 15):
+        g.insert(5, v)  # colors 1..9: vertex 5's tree has capacity 16
+    g.delete(5, 7)  # frees color 2
+    g.delete(5, 8)  # frees color 3
+    copies = []
+
+    def counted(node, new_cap):
+        copies.append(new_cap)
+        return grown(node, new_cap)
+
+    monkeypatch.setattr("colorbench.edge_coloring.grown", counted)
+    # a tree-less endpoint below, then above, its partner; then two tree-less
+    assert g.insert(1, 5).stats["color_assigned"] == 2
+    assert g.insert(5, 20).stats["color_assigned"] == 3
+    assert g.insert(21, 22).stats["color_assigned"] == 1
+    assert copies == []
+    assert [tree_cap(ec.tree[v]) for v in (1, 20, 21, 22)] == [16, 16, 1, 1]
+    ec.self_check()
+
+
 @pytest.mark.parametrize("delta, mode", [(16, "uniform-random"), (None, "sliding-window")])
 def test_coloring_or_uncoloring_an_edge_leaves_its_trees_at_one_width(delta, mode):
     g, ec = make_engine("edge-c", 40, delta, seed=7)
@@ -257,6 +280,32 @@ def test_worst_case_visits_bound_every_update():
     for ev in events:
         r = g.apply(ev)
         assert r.stats["tree_visits"] <= bound
+
+
+@pytest.mark.parametrize("seed", [13, 14, 15])
+def test_adaptive_visits_bound_every_update(seed):
+    # With C the capacity of the widest tree after the update (trees never
+    # narrow, so C covers every tree the update read), ``color`` reads at
+    # most 4 + 2 lg C nodes in its search (2 for the whole span, 2 for the
+    # roots' level when the span is wider than the trees, 2 per level below)
+    # and 2 lg C + 2 in its walk; ``_uncolor`` is one walk, 2 lg C + 2. An
+    # insert colors once: 4 lg C + 6. A delete uncolors its edge and makes
+    # at most four fixups (``_shrink_fixups``), each an uncolor and a color:
+    # 5 (2 lg C + 2) + 4 (4 lg C + 6) = 26 lg C + 34. A color is at most
+    # deg(u) + deg(v) - 1 <= 2n - 3, so C <= next_pow2(2n - 3).
+    n = 80
+    g, ec = make_engine("edge-c", n, None, seed=seed)
+    fixups = 0
+    for ev in generate(TraceSpec(n, None, 6000, seed, "sliding-window")):
+        r = g.apply(ev)
+        cap = max(map(len, filter(None, ec.tree))) >> 1
+        assert cap <= _next_pow2(2 * n - 3)
+        lg = cap.bit_length() - 1
+        bound = 4 * lg + 6 if r.kind == INSERT else 26 * lg + 34
+        assert r.stats["tree_visits"] <= bound
+        assert r.stats["recolored_edges"] <= 4
+        fixups += r.stats["recolored_edges"]
+    assert fixups > 0
 
 
 # -- range queries ----------------------------------------------------------------------

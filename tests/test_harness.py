@@ -487,6 +487,57 @@ def test_csv_columns_and_totals_match_the_golden(engine):
     assert list(res.totals.items()) == list(TOTALS_GOLDEN[engine].items())
 
 
+# The fold of every receipt that harness.run made before the engines kept
+# their own totals: these fields, those an engine reports, summed in this
+# order; then rand-vc's longest chain; then the sum of cells_touched.
+SUMMED_FIELDS = (
+    "recolor_calls", "fix_iterations", "recolored_edges", "level_moves", "tree_visits"
+)
+
+
+def fold_receipts(fields, receipts):
+    sums = {key: 0 for key in SUMMED_FIELDS if key in fields}
+    chain = cells = 0
+    for stats in receipts:
+        for key in sums:
+            sums[key] += stats[key]
+        if "chain_len_max" in fields:
+            chain = max(chain, stats["chain_len_max"])
+        cells += stats["cells_touched"]
+    if "chain_len_max" in fields:
+        sums["chain_len_max"] = chain
+    sums["cum_cells_touched"] = cells
+    return sums
+
+
+@pytest.mark.parametrize(
+    "engine, delta",
+    [
+        ("rand-vc", 32),
+        ("rand-vc", None),
+        ("det-vc", 16),
+        ("det-vc", DELTA_MIN - 1),
+        ("edge-c", 16),
+        ("edge-c", None),
+        ("greedy-baseline", 16),
+        ("greedy-baseline", None),
+    ],
+)
+def test_run_totals_equal_a_fold_of_the_receipts(engine, delta):
+    events = generate(TraceSpec(40, delta, 3000, 9, "conflict-heavy"))
+    buf = io.StringIO()
+    res = harness.run(events, engine, 40, delta, seed=4, beta=2, metrics_out=buf)
+    assert res.exit_code == 0
+    g, eng = harness.make_engine(engine, 40, delta, seed=4, beta=2)
+    expected = fold_receipts(eng.RECEIPT_FIELDS, (g.apply(ev).stats for ev in events))
+    assert list(res.totals.items()) == list(expected.items())
+    # every total is counted on this trace: rand-vc moves levels at beta=2,
+    # and only fixed-mode edge-c has no deletion fixups to recolor edges
+    assert all(v > 0 for k, v in expected.items() if (k, delta) != ("recolored_edges", 16))
+    last = list(csv.DictReader(io.StringIO(buf.getvalue())))[-1]
+    assert int(last["cum_cells_touched"]) == res.totals["cum_cells_touched"]
+
+
 # sha256 of the audit log of each engine's run on the CSV-golden trace above,
 # and of edge-c's on an adaptive sliding-window trace (n=60, 4000 updates,
 # trace seed 5, engine seed 3, audits every 500 updates). A clean log still

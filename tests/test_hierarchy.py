@@ -14,14 +14,16 @@ def attach(n, delta, beta):
     g = new_graph(n, delta)
 
     class Shim:
+        RECEIPT_FIELDS = ("level_moves",)
+
         def __init__(self):
             self.part = LevelPartition(n, delta, beta)
 
         def on_insert(self, lo, hi):
-            return {"level_moves": self.part.on_structural_update(lo, hi, "+")}
+            return (self.part.on_structural_update(lo, hi, "+"),)
 
         def on_delete(self, lo, hi, value):
-            return {"level_moves": self.part.on_structural_update(lo, hi, "-")}
+            return (self.part.on_structural_update(lo, hi, "-"),)
 
     shim = Shim()
     g.attach(shim)

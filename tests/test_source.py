@@ -71,3 +71,28 @@ def test_no_edge_object_is_built_on_the_update_path():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_no_dict_is_built_on_the_update_path():
+    # An engine hook returns its receipt values as a tuple, and apply wraps
+    # them in a tuple receipt; a dict is built only when `stats` is read.
+    found, checked = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or not (
+                    fn.name in ("on_insert", "on_delete")
+                    or (cls.name, fn.name) == ("DynamicGraph", "apply")
+                ):
+                    continue
+                checked.append(f"{cls.name}.{fn.name}")
+                found += [
+                    f"{path.relative_to(SRC)}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Dict, ast.DictComp))
+                    or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict")
+                ]
+    assert "DynamicGraph.apply" in checked and len(checked) == 9
+    assert found == []
