@@ -12,6 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add, le
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import verify
@@ -261,6 +262,10 @@ def audit_engine(
     deep audit, the tree check. ``deep=True`` adds the checks of the engine's
     stored structures (run at termination); rand-vc's color tables are checked
     against fresh ones that the band recount builds in the same pass.
+    A vertex coloring's palette check first gets one C-level verdict (the
+    largest color against a fixed palette, or each color against its
+    vertex's degree + 1 in adaptive mode); only a failing state is walked to
+    list its violations, in vertex order.
     """
     reports: List[Tuple[str, verify.AuditReport]] = []
     if name in ("rand-vc", "greedy-baseline") or (
@@ -269,15 +274,19 @@ def audit_engine(
         chi = engine.chi
         reports.append(("proper-vertex", verify.check_proper_vertex(graph, chi)))
         rand = isinstance(engine, RandVertexColoring)
-        if rand and engine.adaptive:
-            limits = [len(a) + 1 for a in graph._adj]
+        adaptive = rand and engine.adaptive
+        if adaptive:
+            fits = all(map(le, chi, map(add, map(len, graph._adj), repeat(1))))
         else:
-            limits = repeat(engine.palette)
-        bad = [
-            ("palette", v, c, limit)
-            for v, (c, limit) in enumerate(zip(chi, limits))
-            if c > limit
-        ]
+            fits = max(chi, default=0) <= engine.palette
+        bad: List[tuple] = []
+        if not fits:
+            limits = [len(a) + 1 for a in graph._adj] if adaptive else repeat(engine.palette)
+            bad = [
+                ("palette", v, c, limit)
+                for v, (c, limit) in enumerate(zip(chi, limits))
+                if c > limit
+            ]
         reports.append(("palette", verify.AuditReport.from_violations(bad)))
         if rand and not deep:
             bands, _ = verify.recount_band_invariants(graph, engine.hier)

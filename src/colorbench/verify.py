@@ -14,7 +14,9 @@ operations on its adjacency and stored sets (sizes, set equality, identity
 or inclusion, counts of levels or coordinates). Only a vertex whose verdict
 fails is walked item by item, in the original order, to list its
 violations; a vertex that passes owns none, so the walk reports exactly
-what a walk of every vertex would.
+what a walk of every vertex would. The band recount likewise decides
+once whether every vertex is at level 4, as on a dormant hierarchy, and
+then reads its counts off the degrees with no per-neighbor walk.
 A helper called once per vertex is local to its check: the benchmark's
 tracer records a span for every call of a module-level function here.
 
@@ -134,38 +136,59 @@ def recount_band_invariants(
     ``rebuild_upper_color_counts`` does, compares it with the stored one at
     once and drops it; the ``upper-counts`` violations, in vertex order,
     are returned third.
+
+    One C-level count of the levels first decides whether the partition is
+    flat, every vertex at level 4, as a dormant hierarchy always is. Then no
+    neighbor is below its vertex and every neighbor is at its vertex's
+    level, so the below-counts are zeros and the at-level counts are the
+    degrees, exactly what the walk counts, and no neighbor's level is read;
+    a table counts every neighbor's color. Only invariant 2 can fire there.
+    A partition that is not flat is walked neighbor by neighbor.
     """
     bad: List[tuple] = []
     level = part.level
     n = graph.n
+    adj = graph._adj
     below_count = [0] * n
-    at_level = [0] * n
     upper_bad: Optional[List[tuple]] = None if mu is None else []
-    for u, nbrs in enumerate(graph._adj):
-        lu = level[u]
-        below = at = 0
-        if upper_bad is None:
-            for v in nbrs:
-                lv = level[v]
-                if lv < lu:
-                    below += 1
-                elif lv == lu:
-                    at += 1
-        else:
-            table: Dict[int, int] = {}
-            for v in nbrs:
-                lv = level[v]
-                if lv < lu:
-                    below += 1
-                    continue
-                if lv == lu:
-                    at += 1
-                c = chi[v]
-                table[c] = table.get(c, 0) + 1
-            if table != mu[u]:
-                upper_bad.append(("upper-counts", u, mu[u], table))
-        below_count[u] = below
-        at_level[u] = at
+    if countOf(level, 4) == n:
+        # flat: no neighbor is below, and every neighbor is at level 4
+        at_level = list(map(len, adj))
+        if upper_bad is not None:
+            for u, nbrs in enumerate(adj):
+                table: Dict[int, int] = {}
+                for v in nbrs:
+                    c = chi[v]
+                    table[c] = table.get(c, 0) + 1
+                if table != mu[u]:
+                    upper_bad.append(("upper-counts", u, mu[u], table))
+    else:
+        at_level = [0] * n
+        for u, nbrs in enumerate(adj):
+            lu = level[u]
+            below = at = 0
+            if upper_bad is None:
+                for v in nbrs:
+                    lv = level[v]
+                    if lv < lu:
+                        below += 1
+                    elif lv == lu:
+                        at += 1
+            else:
+                table = {}
+                for v in nbrs:
+                    lv = level[v]
+                    if lv < lu:
+                        below += 1
+                        continue
+                    if lv == lu:
+                        at += 1
+                    c = chi[v]
+                    table[c] = table.get(c, 0) + 1
+                if table != mu[u]:
+                    upper_bad.append(("upper-counts", u, mu[u], table))
+            below_count[u] = below
+            at_level[u] = at
     pows = part.pow
     for v in range(n):
         lv = level[v]

@@ -566,6 +566,58 @@ def test_audit_log_matches_the_golden(engine, delta):
     assert digest == AUDIT_LOG_GOLDEN[(engine, delta)]
 
 
+# The same run at beta=21, where every vertex stays at level 4, recorded
+# while the band recount still walked every neighbor of a flat partition. A
+# clean log names no level, so it equals the beta=2 log above byte for byte.
+DORMANT_AUDIT_LOG_GOLDEN = "e81055b7b9b204a9ea601e6b84a63c0373add3c78915ebd0aa06568122d2bec6"
+
+
+def test_dormant_audit_log_matches_the_golden():
+    out = io.StringIO()
+    res = harness.run(
+        generate(TraceSpec(200, 32, 4000, 5, "conflict-heavy")), "rand-vc", 200, 32,
+        seed=3, beta=21, audit_every=500, audit_out=out,
+    )
+    assert res.exit_code == 0
+    assert res.engine_obj.hier.dormant
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DORMANT_AUDIT_LOG_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "engine, delta", [("rand-vc", 32), ("rand-vc", None), ("greedy-baseline", 32)]
+)
+def test_the_palette_audit_names_a_color_above_its_vertex_limit(engine, delta):
+    events = generate(TraceSpec(60, delta, 2000, 7, "conflict-heavy"))
+    g, eng = harness.make_engine(engine, 60, delta, seed=7, beta=2)
+    for ev in events:
+        g.apply(ev)
+
+    def palette_report():
+        return dict(harness.audit_engine(engine, g, eng))["palette"]
+
+    assert palette_report().passed
+
+    def limit(v):
+        if delta is None:
+            assert len(g._adj[v]) + 1 < eng.palette  # the fixed palette would not catch it
+            return len(g._adj[v]) + 1
+        return eng.palette
+
+    v = max(range(g.n), key=lambda v: (len(g._adj[v]), v))
+    eng.chi[v] = limit(v)
+    assert palette_report().violations == []
+    eng.chi[v] = limit(v) + 1
+    assert palette_report().violations == [("palette", v, limit(v) + 1, limit(v))]
+    # a second color above its limit, at a smaller vertex: listed in vertex order
+    w = min(u for u in range(g.n) if u != v and g._adj[u])
+    eng.chi[w] = limit(w) + 2
+    report = palette_report()
+    assert not report.passed
+    assert report.violations == [
+        ("palette", w, limit(w) + 2, limit(w)), ("palette", v, limit(v) + 1, limit(v)),
+    ]
+
+
 def test_compare_table_rows():
     events = generate(TraceSpec(30, 16, 800, 8, "conflict-heavy"))
     rows, code = harness.compare(

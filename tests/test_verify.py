@@ -6,7 +6,7 @@ import gc
 import hashlib
 import json
 import random
-from itertools import chain
+from itertools import chain, repeat
 from typing import List, Set
 
 import pytest
@@ -666,6 +666,12 @@ def _same_set_member_at_the_wrong_level(g, eng, rng):
     part.same[v].setdefault(k, {})[u] = None
 
 
+def _flatten_every_level(g, eng, rng):
+    # every vertex at level 4 while the stored sets keep the old bands: the
+    # band recount takes its flat branch on a hierarchy that is not dormant
+    eng.hier.level[:] = repeat(4, g.n)
+
+
 TUPLE_CORRUPTIONS = [
     _break_a_length_one_bound,
     _copy_a_neighbors_tuple,
@@ -681,6 +687,7 @@ HIERARCHY_CORRUPTIONS = [
     _same_set_member_at_the_wrong_level,
     _file_a_same_member_below,
     _drop_a_same_member,
+    _flatten_every_level,
 ]
 DORMANT_CORRUPTIONS = [_lie_about_a_level, _below_set_with_a_non_neighbor]
 
@@ -694,7 +701,9 @@ def _failing_audit_digest(name, g, eng):
 # sha256 of the deep audit's JSON lines after one corruption, recorded before
 # the det-vc and rand-vc oracles skipped the vertices that pass: det-vc on
 # n=200, delta=32 (6,000 uniform-random updates, seed 5); rand-vc there at
-# beta=2 (levels move) and beta=21 (dormant).
+# beta=2 (levels move) and beta=21 (dormant). The flatten_every_level line
+# was recorded while the band recount still walked every neighbor of a flat
+# partition.
 FAILING_AUDIT_GOLDEN = {
     ("det-vc", 2, "break_a_length_one_bound"): "1078d60511d95efb8d322222cbff184f0160fbda005f960b2bdec6d944027cd5",
     ("det-vc", 2, "copy_a_neighbors_tuple"): "9fdef9c7394373e04fb6185fb7f91cee63fdea43220f834ed4a9a51920733a54",
@@ -709,6 +718,7 @@ FAILING_AUDIT_GOLDEN = {
     ("rand-vc", 2, "file_a_same_member_below"): "91fcaf642aaf9db67edfecf68fda85385cc07433088be0a8669a5dce76c3d4b8",
     ("rand-vc", 2, "drop_a_same_member"): "3da66f0eaa0a57f60f25088f3befe8cbe8f92663977e358f81dd3710dff74ef6",
     ("rand-vc", 2, "raise_a_count"): "18827d0d781f08fe3e2a7175a98bb44fac283f2b32a2057d9d25e3cbd8bc3ca9",
+    ("rand-vc", 2, "flatten_every_level"): "a77424674e21c29b96c3a8a8c28db68a8acdbbdc43b61609527e40aec7891016",
     ("rand-vc", 21, "lie_about_a_level"): "91e924b34540c78a673a6e09654e89d94a886c283797716d6b8a43cc011b3a9d",
     ("rand-vc", 21, "below_set_with_a_non_neighbor"): "85cce0d93b3ed45f0a24be97da1cb8f6dbffba1cdaa512781711840c2e41e792",
     ("rand-vc", 21, "raise_a_count"): "ecfead3a386f01c722868bf1f5c78a3f5e577daea253454984d016bd29cdf8f8",
@@ -846,6 +856,143 @@ def test_hierarchy_equals_the_reference_on_corrupted_states(beta, corrupt):
     g, eng = _replayed("rand-vc", n, delta, 3, beta=beta, ops=ops)
     corrupt(g, eng, random.Random(3))
     assert not _assert_hierarchy_matches_the_reference(g, eng).passed
+
+
+# -- rand-vc's band recount against the walk of every neighbor ----------------------
+
+
+def walked_band_recount(graph, part, chi=None, mu=None):
+    """Reference: ``recount_band_invariants`` as it was, walking every
+    neighbor of every vertex and reading both levels, flat partition or not."""
+    bad = []
+    level = part.level
+    n = graph.n
+    below_count = [0] * n
+    at_level = [0] * n
+    upper_bad = None if mu is None else []
+    for u, nbrs in enumerate(graph._adj):
+        lu = level[u]
+        below = at = 0
+        table = {}
+        for v in nbrs:
+            lv = level[v]
+            if lv < lu:
+                below += 1
+                continue
+            if lv == lu:
+                at += 1
+            if mu is not None:
+                table[chi[v]] = table.get(chi[v], 0) + 1
+        if mu is not None and table != mu[u]:
+            upper_bad.append(("upper-counts", u, mu[u], table))
+        below_count[u] = below
+        at_level[u] = at
+    pows = part.pow
+    for v in range(n):
+        lv = level[v]
+        if not 4 <= lv <= part.L:
+            bad.append(("level-range", v, lv, (4, part.L)))
+        elif lv > 4 and below_count[v] < pows[lv - 5]:
+            bad.append(("invariant-1", v, below_count[v], pows[lv - 5]))
+        elif below_count[v] + at_level[v] > pows[lv]:
+            bad.append(("invariant-2", v, below_count[v] + at_level[v], pows[lv]))
+    report = verify.AuditReport.from_violations(bad)
+    return (report, below_count) if upper_bad is None else (report, below_count, upper_bad)
+
+
+def _before_the_first_move(seed, n=40, delta=32, ops=1500):
+    """A beta=2 state replayed up to the update that first moves a level:
+    flat, every vertex at level 4, but not dormant."""
+    events = list(generate(TraceSpec(n, delta, ops, seed, "uniform-random")))
+    g, eng = make_engine("rand-vc", n, delta, seed=seed, beta=2)
+    first = next(k for k, ev in enumerate(events) if g.apply(ev).stats["level_moves"])
+    g, eng = make_engine("rand-vc", n, delta, seed=seed, beta=2)
+    for ev in events[:first]:
+        g.apply(ev)
+    assert not eng.hier.dormant and eng.hier.level == [4] * n
+    assert max(map(len, g._adj)) > 8  # the degrees are far from zero
+    return g, eng
+
+
+# name -> (state builder for a seed, whether every vertex is at level 4):
+# dormant, sparse and dense; flat but not dormant; levels spread; and
+# adaptive mode, whose levels may or may not have moved
+BAND_STATES = {
+    "dormant": (lambda seed: _rand_state(seed, 32, 21), True),
+    "dormant-dense": (lambda seed: _replayed("rand-vc", 300, 128, seed, beta=21, ops=3000), True),
+    "before-the-first-move": (_before_the_first_move, True),
+    "after-moves": (lambda seed: _rand_state(seed, 32, 2), False),
+    "adaptive": (lambda seed: _rand_state(seed, None, 2), None),
+}
+
+
+def _assert_band_recount_matches_the_walk(g, eng):
+    results = []
+    for tables in ((), (eng.chi, eng.mu)):
+        got = verify.recount_band_invariants(g, eng.hier, *tables)
+        expected = walked_band_recount(g, eng.hier, *tables)
+        assert got == expected
+        assert repr(got) == repr(expected)  # tables list their colors in the same order
+        results.append(got)
+    return results
+
+
+def _one_sided_neighbor(g, eng, rng):
+    # adjacency corrupted: v lists a vertex that does not list v
+    v = rng.choice([v for v in range(g.n) if g._adj[v]])
+    g._adj[v][rng.choice([w for w in range(g.n) if w != v and w not in g._adj[v]])] = None
+
+
+BAND_CORRUPTIONS = UPPER_CORRUPTIONS + [
+    _lie_about_a_level, _flatten_every_level, _one_sided_neighbor,
+]
+
+
+@pytest.mark.parametrize("state", sorted(BAND_STATES))
+def test_band_recount_equals_the_walk_on_clean_states(state):
+    build, flat = BAND_STATES[state]
+    for seed in range(3):
+        g, eng = build(seed)
+        assert flat in (None, eng.hier.level == [4] * g.n)
+        (shallow, _), (deep, _, upper_bad) = _assert_band_recount_matches_the_walk(g, eng)
+        assert shallow.passed and deep.passed and upper_bad == []
+
+
+@pytest.mark.parametrize("state", sorted(BAND_STATES))
+@pytest.mark.parametrize("corrupt", BAND_CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_band_recount_equals_the_walk_on_corrupted_states(state, corrupt):
+    for seed in range(3):
+        g, eng = BAND_STATES[state][0](seed)
+        corrupt(g, eng, random.Random(seed))
+        _assert_band_recount_matches_the_walk(g, eng)
+
+
+class _CountingDict(dict):
+    """An adjacency dict that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        _CountingDict.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("delta", [32, 128])
+def test_a_shallow_dormant_audit_walks_the_adjacency_only_to_check_properness(
+    delta, monkeypatch
+):
+    g, eng = _replayed("rand-vc", 300, delta, 3, beta=21, ops=3000)
+    assert eng.hier.dormant
+    monkeypatch.setattr(_CountingDict, "iterations", 0)
+    g._adj[:] = map(_CountingDict, g._adj)
+    report, _ = verify.recount_band_invariants(g, eng.hier)
+    assert report.passed
+    assert _CountingDict.iterations == 0
+    reports = audit_engine("rand-vc", g, eng)
+    assert [check for check, _ in reports] == ["proper-vertex", "palette", "hierarchy-bands"]
+    assert all(r.passed for _, r in reports)
+    # the properness scan iterates each adjacency dict once, and nothing else does
+    assert _CountingDict.iterations == g.n
 
 
 # -- the traced benchmark ------------------------------------------------------------
