@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, TextIO
 
 from . import harness
 from .errors import ColorbenchError, InputError, InvalidSpec
-from .hierarchy import BOTTOM_LEVEL
+from .hierarchy import BOTTOM_LEVEL, DEFAULT_BETA
 
 # The largest vertex count a trace header may set without --n: every engine
 # keeps a few containers per vertex, some hundreds of bytes in all.
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", required=True, help="trace file path")
     r.add_argument("--engine", choices=harness.ENGINES, required=True)
     _add_shape_args(r)
-    r.add_argument("--beta", type=float, default=21.0, help="hierarchy growth base")
+    r.add_argument("--beta", type=float, default=DEFAULT_BETA, help="hierarchy growth base")
     r.add_argument("--audit-every", type=int, default=1000)
     r.add_argument("--metrics-out", help="per-update CSV path")
     r.add_argument("--audit-out", help="JSON-lines audit log path")
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; default: all applicable",
     )
     _add_shape_args(c)
-    c.add_argument("--beta", type=float, default=21.0)
+    c.add_argument("--beta", type=float, default=DEFAULT_BETA)
     c.add_argument("--audit-every", type=int, default=0)
     return p
 

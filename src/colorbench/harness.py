@@ -11,8 +11,6 @@ import csv
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, le
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import verify
@@ -26,6 +24,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import DELETE, INSERT, DynamicGraph, UpdateEvent
+from .hierarchy import DEFAULT_BETA
 from .rand_coloring import RandVertexColoring
 
 MODES = ("uniform-random", "insert-heavy", "sliding-window", "conflict-heavy")
@@ -53,7 +52,21 @@ def generate(spec: TraceSpec) -> Trace:
     """Deterministically generate a legal trace for the spec.
 
     Legal means: no duplicate inserts, no phantom deletes, and no insert
-    that would push a degree past the bound.
+    that would push a degree past the bound. Each step, the mode chooses a
+    pair to insert; a "sampled" pair is the first legal one of up to 64
+    uniform draws:
+
+    - uniform-random draws one pair: a live pair is deleted, a legal one is
+      inserted, and otherwise a sampled pair is inserted;
+    - insert-heavy inserts a sampled pair with probability 0.9, and
+      conflict-heavy with probability 0.75, preferring a pair that a
+      simulated greedy coloring colors equally; otherwise they delete;
+    - sliding-window inserts a sampled pair below its window of
+      min(2n, max edges / 2) live edges (at least 1), and deletes at it.
+
+    A delete takes the oldest live edge in sliding-window and a uniformly
+    random one in every other mode. If no pair was chosen and no edge is
+    live, the generator is stuck and raises InvalidSpec.
     """
     if spec.mode not in MODES:
         raise InvalidSpec(f"unknown mode {spec.mode!r}")
@@ -65,123 +78,78 @@ def generate(spec: TraceSpec) -> Trace:
         raise InvalidSpec("no legal updates exist for this spec")
 
     rng = random.Random(spec.seed)
-    n, delta = spec.n, spec.delta
-    adj: List[set] = [set() for _ in range(n)]
+    n, mode = spec.n, spec.mode
+    bound = n if spec.delta is None else spec.delta  # no degree reaches n
+    max_edges = n * (n - 1 if spec.delta is None else spec.delta) // 2
+    window = max(1, min(2 * n, max_edges // 2))  # sliding-window's live edges
+    share = 0.75 if mode == "conflict-heavy" else 0.9  # the insert share
+    degree = [0] * n
+    # the live edges as (lo, hi), swap-removed; live_pos maps each to its index
     live: List[Tuple[int, int]] = []
     live_pos: Dict[Tuple[int, int], int] = {}
-    fifo: deque = deque()  # insertion order, lazily skipping dead edges
+    fifo: Optional[deque] = deque() if mode == "sliding-window" else None
+    sim = chi = None  # conflict-heavy's simulated greedy run and its colors
+    if mode == "conflict-heavy":
+        sim = DynamicGraph(n, spec.delta)
+        chi = GreedyVertexColoring(sim).chi
     events: Trace = []
 
-    sim = None
-    if spec.mode == "conflict-heavy":
-        sim_graph = DynamicGraph(n, delta)
-        sim = GreedyVertexColoring(sim_graph)
-
-    def insert_ok(u: int, v: int) -> bool:
-        if u == v or v in adj[u]:
-            return False
-        if delta is not None and (len(adj[u]) >= delta or len(adj[v]) >= delta):
-            return False
-        return True
-
-    def do_insert(u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        adj[u].add(v)
-        adj[v].add(u)
-        live_pos[(u, v)] = len(live)
-        live.append((u, v))
-        fifo.append((u, v))
-        events.append(UpdateEvent(INSERT, u, v))
-        if sim is not None:
-            sim.graph.insert(u, v)
-
-    def do_delete(u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        adj[u].discard(v)
-        adj[v].discard(u)
-        idx = live_pos.pop((u, v))
-        last = live.pop()
-        if idx < len(live):
-            live[idx] = last
-            live_pos[last] = idx
-        events.append(UpdateEvent(DELETE, u, v))
-        if sim is not None:
-            sim.graph.delete(u, v)
-
-    def sample_insert(tries: int = 64, prefer_conflict: bool = False):
+    def sample_insert() -> Optional[Tuple[int, int]]:
+        """The first legal pair of 64 draws, or in conflict-heavy the first
+        that greedy colors equally, falling back to the first legal one."""
         fallback = None
-        for _ in range(tries):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if not insert_ok(u, v):
+        for _ in range(64):
+            u, v = rng.randrange(n), rng.randrange(n)
+            pair = (u, v) if u < v else (v, u)
+            if u == v or pair in live_pos or degree[u] >= bound or degree[v] >= bound:
                 continue
-            if prefer_conflict and sim is not None:
-                if sim.chi[u] == sim.chi[v]:
-                    return u, v
-                if fallback is None:
-                    fallback = (u, v)
-            else:
-                return u, v
+            if chi is None or chi[u] == chi[v]:
+                return pair
+            fallback = fallback or pair
         return fallback
 
-    def delete_random() -> bool:
-        if not live:
-            return False
-        do_delete(*live[rng.randrange(len(live))])
-        return True
-
-    if spec.mode == "sliding-window":
-        cap = n * (n - 1) // 2 if delta is None else n * delta // 2
-        window = max(1, min(2 * n, cap // 2 if cap > 1 else 1))
+    def choose() -> Optional[Tuple[int, int]]:
+        """The mode's pair to insert (or, in uniform-random, a live pair to
+        delete); None asks for a delete."""
+        if mode == "uniform-random":
+            u, v = rng.randrange(n), rng.randrange(n)
+            pair = (u, v) if u < v else (v, u)
+            if u != v and (pair in live_pos or (degree[u] < bound and degree[v] < bound)):
+                return pair
+        elif mode == "sliding-window":
+            if len(live) >= window:
+                return None
+        elif rng.random() >= share and live:
+            return None
+        return sample_insert()
 
     while len(events) < spec.op_count:
-        if spec.mode == "uniform-random":
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u != v and min(u, v) in adj[max(u, v)]:
-                do_delete(u, v)
-                continue
-            if insert_ok(u, v):
-                do_insert(u, v)
-                continue
-            pair = sample_insert()
-            if pair is not None:
-                do_insert(*pair)
-            elif not delete_random():
+        pair = choose()
+        if pair is None:
+            if not live:
                 raise InvalidSpec("generator stuck: no legal update")
-        elif spec.mode == "insert-heavy":
-            if rng.random() < 0.9 or not live:
-                pair = sample_insert()
-                if pair is not None:
-                    do_insert(*pair)
-                    continue
-            if not delete_random():
-                raise InvalidSpec("generator stuck: no legal update")
-        elif spec.mode == "sliding-window":
-            pair = None if len(live) >= window else sample_insert()
-            if pair is not None:
-                do_insert(*pair)
-            else:
-                # at the target edge count (or saturated): retire the oldest
-                deleted = False
-                while fifo:
-                    e = fifo.popleft()
-                    if e in live_pos:
-                        do_delete(*e)
-                        deleted = True
-                        break
-                if not deleted:
-                    raise InvalidSpec("generator stuck: no legal update")
-        else:  # conflict-heavy
-            if rng.random() < 0.75 or not live:
-                pair = sample_insert(prefer_conflict=True)
-                if pair is not None:
-                    do_insert(*pair)
-                    continue
-            if not delete_random():
-                raise InvalidSpec("generator stuck: no legal update")
+            pair = fifo.popleft() if fifo is not None else live[rng.randrange(len(live))]
+        lo, hi = pair
+        idx = live_pos.pop(pair, None)
+        if idx is None:
+            live_pos[pair] = len(live)
+            live.append(pair)
+            if fifo is not None:
+                fifo.append(pair)
+            degree[lo] += 1
+            degree[hi] += 1
+            event = UpdateEvent(INSERT, lo, hi)
+        else:
+            last = live.pop()
+            if idx < len(live):
+                live[idx] = last
+                live_pos[last] = idx
+            degree[lo] -= 1
+            degree[hi] -= 1
+            event = UpdateEvent(DELETE, lo, hi)
+        events.append(event)
+        if sim is not None:
+            sim.apply(event)
     return events
 
 
@@ -230,7 +198,7 @@ def make_engine(
     n: int,
     delta: Optional[int],
     seed: int = 0,
-    beta: float = 21.0,
+    beta: float = DEFAULT_BETA,
 ):
     """Build (graph, engine) for one run. ``delta=None`` selects adaptive
     mode: unbounded degrees and degree-tracking palettes."""
@@ -262,10 +230,6 @@ def audit_engine(
     deep audit, the tree check. ``deep=True`` adds the checks of the engine's
     stored structures (run at termination); rand-vc's color tables are checked
     against fresh ones that the band recount builds in the same pass.
-    A vertex coloring's palette check first gets one C-level verdict (the
-    largest color against a fixed palette, or each color against its
-    vertex's degree + 1 in adaptive mode); only a failing state is walked to
-    list its violations, in vertex order.
     """
     reports: List[Tuple[str, verify.AuditReport]] = []
     if name in ("rand-vc", "greedy-baseline") or (
@@ -274,20 +238,8 @@ def audit_engine(
         chi = engine.chi
         reports.append(("proper-vertex", verify.check_proper_vertex(graph, chi)))
         rand = isinstance(engine, RandVertexColoring)
-        adaptive = rand and engine.adaptive
-        if adaptive:
-            fits = all(map(le, chi, map(add, map(len, graph._adj), repeat(1))))
-        else:
-            fits = max(chi, default=0) <= engine.palette
-        bad: List[tuple] = []
-        if not fits:
-            limits = [len(a) + 1 for a in graph._adj] if adaptive else repeat(engine.palette)
-            bad = [
-                ("palette", v, c, limit)
-                for v, (c, limit) in enumerate(zip(chi, limits))
-                if c > limit
-            ]
-        reports.append(("palette", verify.AuditReport.from_violations(bad)))
+        palette = None if rand and engine.adaptive else engine.palette
+        reports.append(("palette", verify.check_vertex_palette(graph, chi, palette)))
         if rand and not deep:
             bands, _ = verify.recount_band_invariants(graph, engine.hier)
             reports.append(("hierarchy-bands", bands))
@@ -349,7 +301,7 @@ def run(
     n: int,
     delta: Optional[int],
     seed: int = 0,
-    beta: float = 21.0,
+    beta: float = DEFAULT_BETA,
     audit_every: int = 0,
     metrics_out: Optional[TextIO] = None,
     audit_out: Optional[TextIO] = None,
@@ -445,7 +397,7 @@ def compare(
     n: int,
     delta: Optional[int],
     seed: int = 0,
-    beta: float = 21.0,
+    beta: float = DEFAULT_BETA,
     audit_every: int = 0,
 ) -> Tuple[List[Dict[str, object]], int]:
     """Replay the trace independently through each engine; summary rows."""

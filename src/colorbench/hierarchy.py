@@ -69,6 +69,9 @@ from .graph import DELETE, INSERT
 
 BOTTOM_LEVEL = 4
 
+# The growth base every engine and command uses unless told otherwise.
+DEFAULT_BETA = 21.0
+
 MoveListener = Callable[[int, int, int], None]  # (vertex, old level, new level)
 
 Neighbors = Dict[int, None]  # an insertion-ordered set of neighbor ids
@@ -91,7 +94,7 @@ class LevelPartition:
         self,
         n: int,
         max_degree: int,
-        beta: float = 21.0,
+        beta: float = DEFAULT_BETA,
         adjacency: Optional[Sequence[Mapping[int, object]]] = None,
     ):
         if not beta >= 2:  # NaN too

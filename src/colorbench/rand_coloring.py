@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantViolation
 from .graph import DynamicGraph
-from .hierarchy import LevelPartition
+from .hierarchy import DEFAULT_BETA, LevelPartition
 
 
 @dataclass
@@ -49,7 +49,7 @@ class RandVertexColoring:
         "recolor_calls", "chain_len_max", "pool_size_min", "cells_touched", "level_moves"
     )
 
-    def __init__(self, graph: DynamicGraph, seed: int = 0, beta: float = 21.0):
+    def __init__(self, graph: DynamicGraph, seed: int = 0, beta: float = DEFAULT_BETA):
         self.graph = graph
         self.rng = random.Random(seed)
         self.adaptive = graph.max_degree is None

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, cycle, repeat
-from operator import countOf, gt, is_, le, not_
+from operator import add, countOf, gt, is_, le, not_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import DynamicGraph
@@ -69,6 +69,32 @@ def check_proper_vertex(graph: DynamicGraph, chi: Sequence[int]) -> AuditReport:
         for v in graph._adj[u]:
             if u < v and cu == chi[v]:
                 bad.append(("proper-vertex", (u, v), cu, chi[v]))
+    return AuditReport.from_violations(bad)
+
+
+def check_vertex_palette(
+    graph: DynamicGraph, chi: Sequence[int], palette: Optional[int]
+) -> AuditReport:
+    """Every vertex color within its limit: the fixed ``palette``, or, when
+    it is None (adaptive mode), the vertex's degree + 1.
+
+    One C-level verdict first (the largest color against the palette, or
+    each color against its vertex's degree + 1); only a failing state is
+    walked to list its violations, in vertex order.
+    """
+    adj = graph._adj
+    if palette is None:
+        fits = all(map(le, chi, map(add, map(len, adj), repeat(1))))
+    else:
+        fits = max(chi, default=0) <= palette
+    bad: List[tuple] = []
+    if not fits:
+        limits = [len(a) + 1 for a in adj] if palette is None else repeat(palette)
+        bad = [
+            ("palette", v, c, limit)
+            for v, (c, limit) in enumerate(zip(chi, limits))
+            if c > limit
+        ]
     return AuditReport.from_violations(bad)
 
 

@@ -3,12 +3,17 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
+import colorbench
 from colorbench import (
     DELTA_MIN,
     DuplicateEdge,
@@ -108,6 +113,43 @@ def test_conflict_heavy_hits_thirty_percent_under_greedy():
                 conflicts += 1
         g.apply(ev)
     assert conflicts / inserts >= 0.30, conflicts / inserts
+
+
+# sha256 of format_trace(generate(spec), spec). Every trace of the tests and
+# the benchmark comes from this random stream, so a change to generate must
+# draw the same numbers in the same order for every spec.
+TRACE_GOLDEN = {
+    (40, 6, 2500, 11, "uniform-random"): "16033d78343de8fef9aadc3b55ada50a1a5a695ada124a0fab12d3816c7b0501",
+    (40, 6, 2500, 11, "insert-heavy"): "190d9f829f731b88663ce9577374b984d45bb2b5176dd8ba80dc6471aa46d4bd",
+    (40, 6, 2500, 11, "sliding-window"): "28c279fe531aa87fbb1bc8165f63853be89ae8dac5e50fc45b4b2907925c0458",
+    (40, 6, 2500, 11, "conflict-heavy"): "c874d44985fa07ca4c293640346099bb1163d53cb2a91a35667170b45005b1f0",
+    (30, None, 1500, 13, "uniform-random"): "dce7f970bff2113347d4ce7597ea4c208d5e6cc9188c97811555808bc2e16988",
+    (30, None, 1500, 13, "insert-heavy"): "b5732dfa01f8f0cf0caec03830e831f51c1b7806ef9f26d7bc4b42a23885770a",
+    (30, None, 1500, 13, "sliding-window"): "ddb3585c8ddaa2b808ef53db998e6caa7fcc85acaa050f1a873d090f93ee8e41",
+    (30, None, 1500, 13, "conflict-heavy"): "b98f2c40272c2dc7ffce700073db4ca92468553d60f3513aefb427631443e9af",
+    (2, 1, 50, 3, "uniform-random"): "271553afc2856e8ed97c33e836c5d32aec5bde17ee3335970e3067b12e132ed5",
+    (2, 1, 50, 3, "insert-heavy"): "3ae9950bbc90af2ad50e2ce4401376418c940a4d3e0bfb9020a499a08c798152",
+    (2, 1, 50, 3, "sliding-window"): "72b56f2b50ea974c2d427e88ce833663804be249c56dfac933d0734e53c7b018",
+    (2, 1, 50, 3, "conflict-heavy"): "5cc38aefc5389da5c982cf53f354e3ae44f6bf76ecaffd5ad787af3256c768ce",
+    (3, 1, 200, 5, "uniform-random"): "ae8e3b25876795797fc04a5ff1f50caf2858a0a02c716f0e6e0504bf44332331",
+    (3, 1, 200, 5, "insert-heavy"): "69e06b0d8923589aa77b6d992b93e60dc0266e1386a46d593fc18b8ebf01e70c",
+    (3, 1, 200, 5, "sliding-window"): "25661a4c43da259f09441a1c877203cdd9848751d7fa41c3feec1333a74796b9",
+    (3, 1, 200, 5, "conflict-heavy"): "eea9824b092ab3890e223d72a433c216de1b11838e86ec55755de0ae1cf2145f",
+    (60, 8, 4000, 17, "uniform-random"): "ee8c713940a6ee07b3847e2143f4b35687cab134c2dcb93cbc906f9d2f6cf6bd",
+    (60, 8, 4000, 17, "insert-heavy"): "1b5cacda6fd2efe78771950a31de89fc7b5bbb48af03afb09d0a01d2d3b52df1",
+    (60, 8, 4000, 17, "sliding-window"): "a8f3507fe19e097345766d2f1c7da0fd3dd5357e175fea44294304248ad6a554",
+    (60, 8, 4000, 17, "conflict-heavy"): "3683453de3ca427d9077037892c7d453826c9aad4a4fa51629f8331222d57ce4",
+    # the two traces perfbench/workloads.py builds through generate, at seed 11
+    (30_000, 32, 30_000, 11, "uniform-random"): "b69a76da07579a162cd7d12ae7d26fdcfdc8b8c018c0ecdbe947474497d13c47",
+    (1000, 32, 50_000, 11, "conflict-heavy"): "ee25cfa6868761e13b2e4dfaf9445ec59e0027120b6aca6c23fb32b7115a5eaa",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TRACE_GOLDEN, key=str))
+def test_generated_trace_matches_the_golden(shape):
+    spec = TraceSpec(*shape)
+    text = format_trace(generate(spec), spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_GOLDEN[shape]
 
 
 def test_invalid_specs_rejected():
@@ -662,6 +704,42 @@ def test_cli_gen_run_compare(tmp_path):
     assert metrics.read_text().count("\n") == 501
     assert audits.read_text().startswith('{"run": "rand-vc"')
     assert cli.main(["compare", "--trace", str(trace)]) == 0
+
+
+def test_cli_outputs_do_not_depend_on_string_hashing(tmp_path):
+    """gen, then run for every engine, each in its own process: traces, CSVs,
+    audit logs and stdout are byte-identical under two hash seeds."""
+    src = str(Path(colorbench.__file__).parents[1])
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = tmp_path / hash_seed
+        out.mkdir()
+        trace = out / "t.trace"
+        commands = [
+            ["gen", "--n", "200", "--delta", "32", "--ops", "4000", "--seed", "5",
+             "--mode", "conflict-heavy", "--out", str(trace)]
+        ]
+        for engine in harness.ENGINES:
+            commands.append(
+                ["run", "--trace", str(trace), "--engine", engine,
+                 "--metrics-out", str(out / f"{engine}.csv"),
+                 "--audit-out", str(out / f"{engine}.jsonl")]
+            )
+        stdout = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "colorbench.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs[hash_seed] = (files, stdout)
+    files, stdout = outputs["0"]
+    assert len(files) == 1 + 2 * len(harness.ENGINES)
+    assert all(files.values()) and all(stdout[1:])
+    assert outputs["1"] == outputs["0"]
 
 
 def test_cli_usage_errors(tmp_path):

@@ -25,6 +25,22 @@ def test_proper_vertex_flags_monochromatic_edge():
     assert verify.check_proper_vertex(new_graph(0, 1), []).passed
 
 
+def test_vertex_palette_limits_a_fixed_palette_or_each_degree_plus_one():
+    g = new_graph(4, 3)
+    g.insert(0, 1)
+    g.insert(1, 2)
+    chi = [2, 3, 2, 1]  # degrees 1, 2, 1, 0
+    assert verify.check_vertex_palette(g, chi, 3).passed
+    assert verify.check_vertex_palette(g, chi, None).passed
+    chi = [3, 3, 2, 2]
+    assert verify.check_vertex_palette(g, chi, 3).passed
+    adaptive = verify.check_vertex_palette(g, chi, None)
+    assert adaptive.violations == [("palette", 0, 3, 2), ("palette", 3, 2, 1)]
+    fixed = verify.check_vertex_palette(g, [4, 1, 5, 1], 3)
+    assert fixed.violations == [("palette", 0, 4, 3), ("palette", 2, 5, 3)]
+    assert verify.check_vertex_palette(new_graph(0, 1), [], None).passed
+
+
 def test_proper_edge_flags_shared_color_and_uncolored():
     g = new_graph(3, 2)
     g.insert(0, 1)
