@@ -5,9 +5,9 @@ An edge's color is kept in the graph's adjacency, in both endpoints' slots
 implicit complete binary counting tree per vertex; only adaptive mode adds a
 map per vertex from a color to the other endpoint of the edge holding it,
 for the deletion fixups below. A vertex has no tree until its first edge; the
-tree then covers colors [1, cap], cap a power of two, and grows when a
-larger color lands there or when an edge pairs it with a wider tree (below).
-A vertex of small degree among neighbors of small degree therefore keeps a
+tree then covers colors [1, cap], cap a power of two, and grows when an edge's
+search span is wider or when an edge pairs it with a wider tree (below). A
+vertex of small degree among neighbors of small degree therefore keeps a
 small tree whatever delta is, in fixed and adaptive mode alike.
 
 A tree is a plain list ``node`` of 2 * cap counts: ``node[cap + c - 1]`` is
@@ -16,25 +16,20 @@ color c's bit, every internal node holds the sum of its two children, and
 ``add``, ``count_range`` and ``grown`` work on such a list. A vertex thus
 holds one container the garbage collector tracks, not an object and a list.
 
-An edge's two trees have one width whenever the engine reads or writes them:
-before coloring or uncoloring an edge whose trees differ, ``_pair`` widens
-the narrower one with ``grown``, and gives a vertex with no tree an empty one
-as wide as its partner's (capacity 1 if neither has a tree). A color landing
-above that width grows both trees together. So a range is the same node in
-both trees, the search reads both with one node index, and a color is added
-or removed in one leaf-to-root walk over both.
+An edge's two trees have one width whenever the engine reads or writes them,
+and before a search that width is at least the search span (below): where
+the trees differ or are narrower, ``_pair`` widens them with ``grown``, and
+gives a vertex with no tree an empty one as wide. So a range is the same node
+in both trees, the search reads both with one node index, and a color is
+added or removed in one leaf-to-root walk over both.
 
-Coloring an inserted edge binary-searches [1, span + 1), where span is the
-palette rounded up to a power of two (fixed mode) or
-next_pow2(deg(u) + deg(v) - 1) (adaptive mode), descending into whichever
-half still has a color free at both endpoints. Where a search range is a
-node of the trees, its count is one node read per tree. Where the range is
-wider than the trees, they have no node for it: on the leftmost path the
-range holds all of both endpoints' colors, so the count is the roots'
-sum, and once the search turns right past the trees it holds none. So the
-levels wider than the trees are decided from the two roots alone, with no
-loop: the search turns right at the first such level no larger than the
-roots' sum, and then stops with the range's first color.
+Coloring an inserted edge binary-searches [1, span + 1), span =
+next_pow2(deg(u) + deg(v) - 1) in fixed and adaptive mode alike, descending
+into whichever half still has a color free at both endpoints, one node read
+per tree and level. A search over the whole palette would pick the same
+color: both endpoints hold at most deg(u) + deg(v) - 2 colors, so at every
+level wider than span the left half is not full, and the search turns left
+until its range is [1, span].
 
 Only the check on the whole span can find a range full: once it passes, the
 count is below twice the next half's size, a left turn keeps it below the
@@ -48,12 +43,12 @@ by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
 what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 2*max(deg(u), deg(v)) - 1 per edge (adaptive mode).
 
-Growing a tree copies its rows into a wider one, when a color lands above
-its width or when pairing widens it to its partner's; that copying is not
-counted in the tree_visits and cells_touched statistics, which count node
-reads and writes of the search and of the add/remove walks only. A copy
-costs O(cap), so an update that grows a tree does more than O(log delta)
-work: README states this deviation from the paper's worst case.
+Growing a tree copies its rows into a wider one, when a search span or a
+partner's tree is wider; that copying is not counted in the tree_visits and
+cells_touched statistics, which count node reads and writes of the search
+and of the add/remove walks only. A copy costs O(cap), so an update that
+grows a tree does more than O(log delta) work: README states this deviation
+from the paper's worst case.
 
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
@@ -70,10 +65,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalInvariantViolation, RangeOutOfBounds
 from .graph import DynamicGraph
-
-
-def _next_pow2(x: int) -> int:
-    return 1 << (x - 1).bit_length() if x > 1 else 1
 
 
 def add(node: List[int], color: int, delta: int) -> int:
@@ -147,7 +138,6 @@ class EdgeColoring:
         self.held: Optional[List[Dict[int, int]]] = None
         if not self.adaptive:
             self.palette = max(1, 2 * graph.max_degree - 1)
-            self.cap = _next_pow2(self.palette)
         else:
             self.palette = None
             self.held = [{} for _ in range(graph.n)]
@@ -193,70 +183,47 @@ class EdgeColoring:
     def color(self, u: int, v: int) -> Tuple[int, int]:
         """Assign a color to the present edge (u, v), u < v, which holds none.
 
-        Fig-style binary search over [1, span+1): keep the invariant that the
-        current range holds strictly fewer incident colors (over both
-        endpoints) than slots, preferring the left half. The invariant is
-        checked on the whole span, the one range that can break it.
+        Fig-style binary search over [1, span+1), span =
+        next_pow2(deg(u) + deg(v) - 1): keep the invariant that the current
+        range holds strictly fewer incident colors (over both endpoints) than
+        slots, preferring the left half. The invariant is checked on the whole
+        span, the one range that can break it.
 
-        The two trees are paired to one width first, so a range is the same
-        node in both and one node index reads them. Levels wider than the
-        trees are decided from the two roots without a read, and the search
-        stops once it turns right past the trees. The color is added to both
+        The two trees are first paired to one width of at least span, so
+        [1, span] is a node of both, one node index reads them, and the
+        search is one descent from that node. The color is added to both
         trees in one walk.
         """
         adj = self.graph._adj
         at_u, at_v = adj[u], adj[v]
         du = len(at_u)
         dv = len(at_v)
-        if self.adaptive:
-            span = _next_pow2(max(1, du + dv - 1))
-        else:
-            span = self.cap
+        # next_pow2(du + dv - 1); du and dv count the new edge
+        span = 1 << (du + dv - 2).bit_length()
         tree = self.tree
         nu = tree[u]
         nv = tree[v]
-        if nu is None or nv is None or len(nu) != len(nv):
-            nu, nv = self._pair(u, v)
+        if nu is None or nv is None or len(nu) != len(nv) or len(nu) < 2 * span:
+            nu, nv = self._pair(u, v, span)
         cap = len(nu) >> 1
-        # the node counting [1, span], or the roots if the span is wider
-        i = cap // span or 1
-        count = nu[i] + nv[i]
-        visits = 2
-        size = span
-        lo = 1
-        if count >= size:
+        i = cap // span  # the node counting [1, span]
+        if nu[i] + nv[i] >= span:
             self.invariant_checks += 1
             self.invariant_failures += 1
             raise InternalInvariantViolation(
                 f"search range [1, {span + 1}) full while coloring ({u}, {v})"
             )
-        if span > cap:
-            # The levels wider than the trees read no node: each range holds
-            # both roots. The search turns right at the first one no larger
-            # than their sum, the largest power of two in it, and is then past
-            # the trees, where every half is empty, so the color is lo.
-            if count >= 2 * cap:
-                lo += 1 << (count.bit_length() - 1)
-                size = 1
-            else:
-                # the level of size cap reads the roots again, and turns
-                # right past the trees if they fill it
-                size = cap
-                visits += 2
-                if count >= size:
-                    lo += size
-                    size = 1
-        visits += 2 * (size.bit_length() - 1)
+        c = 1
+        size = span
         while size > 1:
             size >>= 1
             i <<= 1
             if nu[i] + nv[i] >= size:
-                lo += size
+                c += size
                 i += 1
         # the whole-span check above and the landing check below
         self.invariant_checks += 2
 
-        c = lo
         # rejected left halves were full, so colors below c are covered by
         # the <= du+dv-2 already-colored incident edges
         if c > du + dv - 1:
@@ -268,13 +235,10 @@ class EdgeColoring:
         if self.adaptive:
             self.held[u][c] = v
             self.held[v][c] = u
-        if c > cap:
-            cap = _next_pow2(c)
-            nu = tree[u] = grown(nu, cap)
-            nv = tree[v] = grown(nv, cap)
-        # one leaf-to-root walk over both trees, one node per level each
+        # one leaf-to-root walk over both trees, one node per level each;
+        # the search read the whole span and one node per level below it
         i = cap + c - 1
-        visits += 2 * i.bit_length()
+        visits = 2 * span.bit_length() + 2 * i.bit_length()
         while i:
             nu[i] += 1
             nv[i] += 1
@@ -283,23 +247,23 @@ class EdgeColoring:
             self.max_color_seen = c
         return c, visits
 
-    def _pair(self, u: int, v: int) -> Tuple[List[int], List[int]]:
-        """Give u's and v's trees one width; returns them.
+    def _pair(self, u: int, v: int, cap: int) -> Tuple[List[int], List[int]]:
+        """Give u's and v's trees one width, capacity at least cap (a power
+        of two); returns them.
 
-        A vertex with no tree gets an empty one as wide as its partner's, or
-        of capacity 1 if neither has one; otherwise the narrower tree is
-        widened to the other's width.
+        The width is the widest of cap and the two trees; a vertex with no
+        tree gets an empty one that wide, and a narrower tree is widened to
+        it with ``grown``.
         """
         tree = self.tree
-        nu = tree[u] or [0] * len(tree[v] or (0, 0))
-        nv = tree[v] or [0] * len(nu)
-        if len(nu) < len(nv):
-            nu = grown(nu, len(nv) >> 1)
-        elif len(nv) < len(nu):
-            nv = grown(nv, len(nu) >> 1)
-        tree[u] = nu
-        tree[v] = nv
-        return nu, nv
+        width = max(2 * cap, len(tree[u] or ()), len(tree[v] or ()))
+        for x in (u, v):
+            t = tree[x]
+            if t is None:
+                tree[x] = [0] * width
+            elif len(t) < width:
+                tree[x] = grown(t, width >> 1)
+        return tree[u], tree[v]
 
     def _uncolor(self, u: int, v: int, c: int) -> int:
         """Take color c of edge (u, v) out of both endpoints' trees and maps;
@@ -309,7 +273,7 @@ class EdgeColoring:
         nu = self.tree[u]
         nv = self.tree[v]
         if len(nu) != len(nv):
-            nu, nv = self._pair(u, v)
+            nu, nv = self._pair(u, v, 1)
         i = (len(nu) >> 1) + c - 1
         visits = 2 * i.bit_length()
         while i:

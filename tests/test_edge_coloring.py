@@ -20,7 +20,7 @@ from colorbench import (
     new_graph,
 )
 from colorbench import verify
-from colorbench.edge_coloring import _next_pow2, _tree_problem, count_range, grown
+from colorbench.edge_coloring import _tree_problem, count_range, grown
 from colorbench.edge_coloring import add as tree_add
 from colorbench.harness import TraceSpec, audit_engine, generate, make_engine, run
 
@@ -33,10 +33,9 @@ def tree_cap(node):
     return len(node) >> 1
 
 
-def test_next_pow2():
-    assert [_next_pow2(x) for x in (1, 2, 3, 4, 5, 2047, 2048)] == [
-        1, 2, 4, 4, 8, 2048, 2048,
-    ]
+def next_pow2(x):
+    """The least power of two >= x, for x >= 1."""
+    return 1 << (x - 1).bit_length()
 
 
 def test_tree_matches_naive_bitmap():
@@ -286,20 +285,22 @@ def test_worst_case_visits_bound_every_update():
 def test_adaptive_visits_bound_every_update(seed):
     # With C the capacity of the widest tree after the update (trees never
     # narrow, so C covers every tree the update read), ``color`` reads at
-    # most 4 + 2 lg C nodes in its search (2 for the whole span, 2 for the
-    # roots' level when the span is wider than the trees, 2 per level below)
-    # and 2 lg C + 2 in its walk; ``_uncolor`` is one walk, 2 lg C + 2. An
-    # insert colors once: 4 lg C + 6. A delete uncolors its edge and makes
-    # at most four fixups (``_shrink_fixups``), each an uncolor and a color:
-    # 5 (2 lg C + 2) + 4 (4 lg C + 6) = 26 lg C + 34. A color is at most
-    # deg(u) + deg(v) - 1 <= 2n - 3, so C <= next_pow2(2n - 3).
+    # most 2 + 2 lg C nodes in its search (2 for the whole span, 2 per level
+    # below; the span is at most C, the width its trees are paired to) and
+    # 2 lg C + 2 in its walk; ``_uncolor`` is one walk, 2 lg C + 2. An insert
+    # colors once: 4 lg C + 4. A delete uncolors its edge and makes at most
+    # four fixups (``_shrink_fixups``), each an uncolor and a color:
+    # 5 (2 lg C + 2) + 4 (4 lg C + 4) = 26 lg C + 26. The bounds asserted
+    # below, 4 lg C + 6 and 26 lg C + 34, allow 2 nodes more per color. A
+    # span is at most next_pow2(deg(u) + deg(v) - 1) <= next_pow2(2n - 3),
+    # and so is C.
     n = 80
     g, ec = make_engine("edge-c", n, None, seed=seed)
     fixups = 0
     for ev in generate(TraceSpec(n, None, 6000, seed, "sliding-window")):
         r = g.apply(ev)
         cap = max(map(len, filter(None, ec.tree))) >> 1
-        assert cap <= _next_pow2(2 * n - 3)
+        assert cap <= next_pow2(2 * n - 3)
         lg = cap.bit_length() - 1
         bound = 4 * lg + 6 if r.kind == INSERT else 26 * lg + 34
         assert r.stats["tree_visits"] <= bound
@@ -445,10 +446,12 @@ def test_narrow_trees_pick_the_full_width_color(delta, mode):
     color = ec.color
 
     def checked_color(u, v):
-        if delta is None:
-            span = _next_pow2(max(1, g.degree(u) + g.degree(v) - 1))
-        else:
-            span = ec.cap
+        span = next_pow2(g.degree(u) + g.degree(v) - 1)
+        if delta is not None:
+            # fixed mode: the reference searches the whole palette's span,
+            # never narrower than the engine's
+            assert span <= next_pow2(ec.palette)
+            span = next_pow2(ec.palette)
         expected.append(reference_color(ec, u, v, span))
         c, visits = color(u, v)
         assert c == expected[-1]
@@ -459,6 +462,26 @@ def test_narrow_trees_pick_the_full_width_color(delta, mode):
         g.apply(ev)
     assert len(expected) > 1500
     ec.self_check()
+
+
+def test_fixed_and_adaptive_modes_color_an_insert_only_trace_alike():
+    # both search next_pow2(deg(u) + deg(v) - 1): a search over the whole
+    # palette turns left at every wider level, down to that span
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 40)
+        delta = rng.randrange(1, 12)
+        fixed, adaptive = new_graph(n, delta), new_graph(n, None)
+        engines = EdgeColoring(fixed), EdgeColoring(adaptive)
+        for _ in range(n * delta):
+            u, v = rng.sample(range(n), 2)
+            if fixed.has_edge(u, v) or max(fixed.degree(u), fixed.degree(v)) == delta:
+                continue
+            c = fixed.insert(u, v).stats["color_assigned"]
+            assert adaptive.insert(u, v).stats["color_assigned"] == c
+        assert engines[0].edge_colors() == engines[1].edge_colors()
+        for ec in engines:
+            ec.self_check()
 
 
 # -- golden colors ---------------------------------------------------------------------------
@@ -497,15 +520,17 @@ def test_colors_match_the_full_width_golden(n, delta, seed, mode):
 # one has deletes leave trees wider than the search span. The receipts and
 # totals were recorded again when an edge's two trees were first paired to
 # one width (a widened tree's nodes are read, and two checks are counted per
-# search); the final colors did not change.
+# search), and again when both modes searched one span, next_pow2(deg(u) +
+# deg(v) - 1), over trees widened to it first; the final colors did not
+# change.
 RECEIPT_GOLDEN = {
     (129, 128, 20000, 11, "insert-heavy"): (
-        "5a611134ed831c770bf720a6ad7a673c8267084389b19611a01e84bf190f56c3",
+        "3bc61ce65623ba4add7330ab699c06b4fe4713253b3c21a289b4dbaa0f4cf996",
         "3bfb309ab3060885f645e6bd8cc29d6fda0b9160f0fe359c364071449474f391",
         28152,
     ),
     (60, None, 6000, 13, "sliding-window"): (
-        "6da38b7712d8674fea69ca1dad91a0f01bd87a3346008248848c60e750cdcd6e",
+        "dfd1639b6c85d425089d9256aae485af85b1b1da0d7e81ed61b065b6c6a67d93",
         "5a485e62f0b45aea4415687818f7f7188f14573ff2da76b719902adfa9121ca9",
         7724,
     ),
@@ -574,12 +599,11 @@ def two_wide_trees(delta):
 
 # Inserting (0, v): v = 3 finds both endpoints' trees at one width, v = 4 a
 # tree of capacity 1 that the search widens to 0's capacity 8 first. Both
-# endpoints then have degree 2, so the search span is the palette's 8 in
-# fixed mode and next_pow2(3) = 4 in adaptive mode, where the trees are
-# twice as wide as the span.
+# endpoints then have degree 2, so the search span is next_pow2(3) = 4 in
+# both modes, and the trees are twice as wide as the span.
 SEARCHES = {
-    "fixed-equal-widths": (4, 3, 8),
-    "fixed-unequal-widths": (4, 4, 8),
+    "fixed-equal-widths": (4, 3, 4),
+    "fixed-unequal-widths": (4, 4, 4),
     "adaptive-equal-widths": (None, 3, 4),
     "adaptive-unequal-widths": (None, 4, 4),
 }
@@ -629,6 +653,19 @@ def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, 
     assert ec.invariant_checks == checks + 2  # the whole-span and the landing check
     assert g._adj[0][v] is None
     assert_paired_and_refuses_the_next_update(g, ec, v)
+
+
+@pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
+def test_a_search_reads_its_span_not_the_width_of_the_trees(delta, v, span):
+    g, ec = two_wide_trees(delta)
+    cap = tree_cap(ec.tree[0])
+    assert cap == 2 * span
+    r = g.insert(0, v)
+    c = r.stats["color_assigned"]
+    assert c == 3  # both endpoints hold color 1, so [1, 2] is full
+    # the whole span and one node per level below it, then one walk
+    assert r.stats["tree_visits"] == 2 * span.bit_length() + 2 * (cap + c - 1).bit_length()
+    ec.self_check()
 
 
 # -- self-check ------------------------------------------------------------------------------
