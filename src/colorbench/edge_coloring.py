@@ -1,40 +1,47 @@
 """(2*delta - 1) edge coloring with logarithmic worst-case work per update.
 
 An edge's color is kept in the graph's adjacency, in both endpoints' slots
-(``_adj[u][v]`` and ``_adj[v][u]``), and a vertex's colors are counted in an
-implicit complete binary counting tree per vertex; only adaptive mode adds a
-map per vertex from a color to the other endpoint of the edge holding it,
-for the deletion fixups below. A vertex has no tree until its first edge; the
-tree then covers colors [1, cap], cap a power of two, and grows when an edge's
-search span is wider or when an edge pairs it with a wider tree (below). A
-vertex of small degree among neighbors of small degree therefore keeps a
-small tree whatever delta is, in fixed and adaptive mode alike.
+(``_adj[u][v]`` and ``_adj[v][u]``), and a vertex's colors are counted in a
+Fenwick tree per vertex (Fenwick 1994, *A new data structure for cumulative
+frequency tables*); only adaptive mode adds a map per vertex from a color to
+the other endpoint of the edge holding it, for the deletion fixups below. A
+vertex has no tree until its first edge; the tree then covers colors
+[1, cap], cap a power of two, and is widened when an edge's search span is
+wider. A vertex of small degree among neighbors of small degree therefore
+keeps a small tree whatever delta is, in fixed and adaptive mode alike.
 
-A tree is a plain list ``node`` of 2 * cap counts: ``node[cap + c - 1]`` is
-color c's bit, every internal node holds the sum of its two children, and
-``node[0]`` is unused, so cap is ``len(node) >> 1``. The module functions
-``add``, ``count_range`` and ``grown`` work on such a list. A vertex thus
-holds one container the garbage collector tracks, not an object and a list.
+A tree is a plain list ``t`` of cap + 1 counts: slot j counts the colors in
+(j - lowbit(j), j], lowbit(j) = j & -j, and ``t[0]`` stays 0, so cap is
+``len(t) - 1``. Slot j counts the same colors in every tree with cap >= j,
+so an edge's two trees need not share a width: the search reads both with
+one index, and a color is added to or removed from each tree in a walk at
+that tree's own width. The module functions ``add``, ``prefix`` and
+``widen`` work on such a list. A vertex thus holds one container the
+garbage collector tracks, not an object and a list.
 
-An edge's two trees have one width whenever the engine reads or writes them,
-and before a search that width is at least the search span (below): where
-the trees differ or are narrower, ``_pair`` widens them with ``grown``, and
-gives a vertex with no tree an empty one as wide. So a range is the same node
-in both trees, the search reads both with one node index, and a color is
-added or removed in one leaf-to-root walk over both.
+Widening is in place: the tree is extended with zeros, and each new
+power-of-two slot, which counts [1, slot], is set to the tree's total. No
+existing slot is moved or rewritten, and the tree stays the same list
+object, which never narrows. The cells written by creating and widening
+trees are counted in ``widened_cells``, apart from the tree_visits and
+cells_touched statistics, which count the slot reads and writes of the
+search and of the add/remove walks only. Widening writes O(cap) cells, so
+an update that widens a tree does more than O(log delta) work: README
+states this deviation from the paper's worst case.
 
 Coloring an inserted edge binary-searches [1, span + 1), span =
-next_pow2(deg(u) + deg(v) - 1) in fixed and adaptive mode alike, descending
-into whichever half still has a color free at both endpoints, one node read
-per tree and level. A search over the whole palette would pick the same
-color: both endpoints hold at most deg(u) + deg(v) - 2 colors, so at every
-level wider than span the left half is not full, and the search turns left
-until its range is [1, span].
+next_pow2(deg(u) + deg(v) - 1) in fixed and adaptive mode alike, over trees
+first widened to at least span, descending into whichever half still has a
+color free at both endpoints. With the range [c, c + 2 size), the left half
+[c, c + size) is slot c - 1 + size, one read per tree and level. A search
+over the whole palette would pick the same color: both endpoints hold at
+most deg(u) + deg(v) - 2 colors, so at every level wider than span the left
+half is not full, and the search turns left until its range is [1, span].
 
-Only the check on the whole span can find a range full: once it passes, the
-count is below twice the next half's size, a left turn keeps it below the
-half's size, and a right turn subtracts at least that size. So the search
-makes two checks, that one and the landing check below, and
+Only the check on the whole span, slot span, can find a range full: once it
+passes, the count is below twice the next half's size, a left turn keeps it
+below the half's size, and a right turn subtracts at least that size. So the
+search makes two checks, that one and the landing check below, and
 invariant_checks counts those two per completed search.
 
 The landing color never exceeds deg(u) + deg(v) - 1: every rejected left
@@ -42,13 +49,6 @@ half was fully occupied, so the colors below the landing point are covered
 by the at most deg(u) + deg(v) - 2 already-colored incident edges. That is
 what keeps the palette inside 2*delta - 1 (fixed mode) and inside
 2*max(deg(u), deg(v)) - 1 per edge (adaptive mode).
-
-Growing a tree copies its rows into a wider one, when a search span or a
-partner's tree is wider; that copying is not counted in the tree_visits and
-cells_touched statistics, which count node reads and writes of the search
-and of the add/remove walks only. A copy costs O(cap), so an update that
-grows a tree does more than O(log delta) work: README states this deviation
-from the paper's worst case.
 
 After a deletion shrinks an endpoint's degree, adaptive mode re-colors the at
 most two incident edges per endpoint whose colors the smaller palette no
@@ -67,61 +67,45 @@ from .errors import InternalInvariantViolation, RangeOutOfBounds
 from .graph import DynamicGraph
 
 
-def add(node: List[int], color: int, delta: int) -> int:
-    """Add delta to color's bit and every count above it; returns node visits."""
-    idx = (len(node) >> 1) + color - 1
-    visits = 0
-    while idx:
-        node[idx] += delta
-        visits += 1
-        idx >>= 1
+def add(t: List[int], color: int, delta: int) -> int:
+    """Add delta to color's count in tree t; returns the slots visited.
+
+    The walk visits color and each slot above it whose range covers it,
+    lowbit growing by at least one bit a step: cap.bit_length() slots less
+    one for each one bit of color - 1.
+    """
+    top = len(t)
+    visits = (top - 1).bit_length() - (color - 1).bit_count()
+    while color < top:
+        t[color] += delta
+        color += color & -color
     return visits
 
 
-def count_range(node: List[int], a: int, b: int) -> Tuple[int, int]:
-    """Sum of bits for colors in [a, b); returns (sum, node visits)."""
-    if a >= b:
-        return 0, 0
-    cap = len(node) >> 1
-    lo = cap + a - 1
-    hi = cap + b - 1
+def prefix(t: List[int], color: int) -> int:
+    """Colors held in [1, color], for 0 <= color <= the tree's cap."""
     total = 0
-    visits = 0
-    while lo < hi:
-        if lo & 1:
-            total += node[lo]
-            visits += 1
-            lo += 1
-        if hi & 1:
-            hi -= 1
-            total += node[hi]
-            visits += 1
-        lo >>= 1
-        hi >>= 1
-    return total, visits
+    while color:
+        total += t[color]
+        color &= color - 1
+    return total
 
 
-def grown(node: List[int], new_cap: int) -> List[int]:
-    """A copy covering [1, new_cap]; new_cap is a power of two >= the tree's cap.
+def widen(t: List[int], cap: int) -> int:
+    """Extend tree t in place to cover [1, cap], a power of two at least its
+    own cap; returns the cells added.
 
-    The tree becomes the subtree rooted at node new_cap // cap of the wider
-    one, so each of its rows is copied with one slice assignment; the nodes
-    above that subtree's root all hold the root count.
+    The new slots above the old cap count nothing held, except the powers of
+    two, which count [1, slot]: the tree's total, the old slot cap.
     """
-    cap = len(node) >> 1
-    if new_cap < cap or new_cap & (new_cap - 1):
-        raise ValueError(f"cannot grow a tree of capacity {cap} to {new_cap}")
-    new = [0] * (2 * new_cap)
-    offset = new_cap // cap
-    width = 1
-    while width <= cap:
-        new[offset * width : (offset + 1) * width] = node[width : 2 * width]
-        width <<= 1
-    offset >>= 1
-    while offset:
-        new[offset] = node[1]
-        offset >>= 1
-    return new
+    old = len(t) - 1
+    total = t[old]
+    t += [0] * (cap - old)
+    slot = cap
+    while slot > old:
+        t[slot] = total
+        slot >>= 1
+    return cap - old
 
 
 class EdgeColoring:
@@ -150,6 +134,7 @@ class EdgeColoring:
         # run totals
         self.tree_visits = 0
         self.recolored_edges = 0
+        self.widened_cells = 0
         graph.attach(self)
 
     # -- engine protocol ---------------------------------------------------------
@@ -171,11 +156,13 @@ class EdgeColoring:
 
     def totals(self) -> Dict[str, int]:
         """The run's recolored edges and tree visits since the engine was
-        built; a tree visit is its cell."""
+        built, a tree visit being its cell, and the cells written by creating
+        and widening trees."""
         return {
             "recolored_edges": self.recolored_edges,
             "tree_visits": self.tree_visits,
             "cum_cells_touched": self.tree_visits,
+            "widened_cells": self.widened_cells,
         }
 
     # -- coloring ----------------------------------------------------------------
@@ -189,10 +176,10 @@ class EdgeColoring:
         slots, preferring the left half. The invariant is checked on the whole
         span, the one range that can break it.
 
-        The two trees are first paired to one width of at least span, so
-        [1, span] is a node of both, one node index reads them, and the
-        search is one descent from that node. The color is added to both
-        trees in one walk.
+        A tree narrower than span, or a missing one, is first widened to span
+        in place, so slot span counts [1, span] in both trees and one slot
+        index reads them at every level. The color is then added to each
+        tree at its own width.
         """
         adj = self.graph._adj
         at_u, at_v = adj[u], adj[v]
@@ -203,24 +190,26 @@ class EdgeColoring:
         tree = self.tree
         nu = tree[u]
         nv = tree[v]
-        if nu is None or nv is None or len(nu) != len(nv) or len(nu) < 2 * span:
-            nu, nv = self._pair(u, v, span)
-        cap = len(nu) >> 1
-        i = cap // span  # the node counting [1, span]
-        if nu[i] + nv[i] >= span:
+        if nu is None or len(nu) <= span:
+            nu = self._widened(u, span)
+        if nv is None or len(nv) <= span:
+            nv = self._widened(v, span)
+        if nu[span] + nv[span] >= span:
             self.invariant_checks += 1
             self.invariant_failures += 1
             raise InternalInvariantViolation(
                 f"search range [1, {span + 1}) full while coloring ({u}, {v})"
             )
-        c = 1
+        # each level halves the range (i, i + 2 * size]: slot i + size counts
+        # its left half, (i, i + size]
+        i = 0
         size = span
         while size > 1:
             size >>= 1
-            i <<= 1
-            if nu[i] + nv[i] >= size:
-                c += size
-                i += 1
+            j = i + size
+            if nu[j] + nv[j] >= size:
+                i = j
+        c = i + 1
         # the whole-span check above and the landing check below
         self.invariant_checks += 2
 
@@ -235,52 +224,30 @@ class EdgeColoring:
         if self.adaptive:
             self.held[u][c] = v
             self.held[v][c] = u
-        # one leaf-to-root walk over both trees, one node per level each;
-        # the search read the whole span and one node per level below it
-        i = cap + c - 1
-        visits = 2 * span.bit_length() + 2 * i.bit_length()
-        while i:
-            nu[i] += 1
-            nv[i] += 1
-            i >>= 1
+        # the search read the whole span and one slot per level below it
+        visits = 2 * span.bit_length() + add(nu, c, 1) + add(nv, c, 1)
         if c > self.max_color_seen:
             self.max_color_seen = c
         return c, visits
 
-    def _pair(self, u: int, v: int, cap: int) -> Tuple[List[int], List[int]]:
-        """Give u's and v's trees one width, capacity at least cap (a power
-        of two); returns them.
-
-        The width is the widest of cap and the two trees; a vertex with no
-        tree gets an empty one that wide, and a narrower tree is widened to
-        it with ``grown``.
-        """
-        tree = self.tree
-        width = max(2 * cap, len(tree[u] or ()), len(tree[v] or ()))
-        for x in (u, v):
-            t = tree[x]
-            if t is None:
-                tree[x] = [0] * width
-            elif len(t) < width:
-                tree[x] = grown(t, width >> 1)
-        return tree[u], tree[v]
+    def _widened(self, x: int, cap: int) -> List[int]:
+        """x's tree, created or widened in place to cover [1, cap]."""
+        t = self.tree[x]
+        if t is None:
+            t = self.tree[x] = [0] * (cap + 1)
+            self.widened_cells += cap + 1
+        else:
+            self.widened_cells += widen(t, cap)
+        return t
 
     def _uncolor(self, u: int, v: int, c: int) -> int:
-        """Take color c of edge (u, v) out of both endpoints' trees and maps;
-        the caller clears or removes the edge's slots."""
+        """Take color c of edge (u, v) out of both endpoints' trees, each at
+        its own width, and maps; the caller clears or removes the edge's
+        slots."""
         if self.adaptive:
             del self.held[u][c], self.held[v][c]
-        nu = self.tree[u]
-        nv = self.tree[v]
-        if len(nu) != len(nv):
-            nu, nv = self._pair(u, v, 1)
-        i = (len(nu) >> 1) + c - 1
-        visits = 2 * i.bit_length()
-        while i:
-            nu[i] -= 1
-            nv[i] -= 1
-            i >>= 1
-        return visits
+        tree = self.tree
+        return add(tree[u], c, -1) + add(tree[v], c, -1)
 
     def _shrink_fixups(self, u: int, v: int) -> Tuple[int, int]:
         """Re-color incident edges stranded above their shrunken palettes.
@@ -316,7 +283,8 @@ class EdgeColoring:
 
         The range must lie in [1, palette + 1); in adaptive mode the palette
         is the largest one any edge can get, 2 * (n - 1). Colors above v's
-        tree are not held by v and count as 0.
+        tree are not held by v and count as 0. The count is a difference of
+        two prefix sums.
         """
         palette = self.palette or max(1, 2 * (self.graph.n - 1))
         if not 1 <= a <= b <= palette + 1:
@@ -324,9 +292,8 @@ class EdgeColoring:
         t = self.tree[v]
         if t is None:
             return 0
-        top = (len(t) >> 1) + 1
-        count, _ = count_range(t, min(a, top), min(b, top))
-        return count
+        cap = len(t) - 1
+        return prefix(t, min(b - 1, cap)) - prefix(t, min(a - 1, cap))
 
     def edge_colors(self) -> Dict[Tuple[int, int], int]:
         out: Dict[Tuple[int, int], int] = {}
@@ -343,43 +310,61 @@ class EdgeColoring:
         the colors in the graph's adjacency. ``colors`` is
         ``graph.handle_colors()`` for the same state (read if not given).
 
-        A vertex's colors are its slice of that flat list. The leaf row must
-        mark exactly those colors and each internal node must hold the sum of
-        its two children, which together is the tree rebuilt from them. Raises
+        A vertex's colors are its slice of that flat list. Its tree must
+        equal the one rebuilt from them: the prefix counts of their bits
+        (``accumulate``), and slot j the difference of prefix counts j and
+        j & (j - 1), read through a getter of those indices kept per width,
+        and the comparison made in C. Only a tree that differs is searched
+        for its first wrong slot, to name it. Raises
         InternalInvariantViolation naming the first vertex that disagrees.
         """
         adj = self.graph._adj
         if colors is None:
             colors = self.graph.handle_colors()
+        adaptive = self.adaptive
         ends = accumulate(map(len, adj))
         for v, (t, nbrs, end) in enumerate(zip(self.tree, adj, ends)):
             own = colors[end - len(nbrs) : end]
             problem = _tree_problem(t, own)
-            if not problem and self.adaptive and self.held[v] != dict(zip(own, nbrs)):
+            if not problem and adaptive and self.held[v] != dict(zip(own, nbrs)):
                 problem = "color map differs from the colors of its edges"
             if problem:
                 raise InternalInvariantViolation(f"vertex {v}: {problem}")
 
 
-def _tree_problem(node: Optional[List[int]], colors: List[Optional[int]]) -> str:
+class _Below(dict):
+    """cap -> a getter of the prefix counts below each slot's range, at
+    j & (j - 1) for slot j; built once per width."""
+
+    def __missing__(self, cap: int) -> operator.itemgetter:
+        below = self[cap] = operator.itemgetter(*[j & (j - 1) for j in range(cap + 1)])
+        return below
+
+
+_BELOW = _Below()
+
+
+def _tree_problem(t: Optional[List[int]], colors: List[Optional[int]]) -> str:
     """What is wrong with a vertex's tree given its edges' colors, or ''."""
-    if node is None:
+    if t is None:
         return "holds colors but has no tree" if colors else ""
-    cap = len(node) >> 1
-    bits = [0] * cap
+    cap = len(t) - 1
+    if cap < 1 or cap & (cap - 1):
+        return f"capacity {cap} is not a power of two"
+    bits = [0] * (cap + 1)
     for c in colors:
         if c is None or not 1 <= c <= cap:
             return f"color {c} outside its tree's range [1, {cap}]"
-        if bits[c - 1]:
+        if bits[c]:
             return f"two edges share color {c}"
-        bits[c - 1] = 1
-    if node[cap:] != bits:
-        return "leaf row differs from the held colors"
-    # sums[i - 1] is the sum of node i's children, 2i and 2i + 1
-    sums = list(map(operator.add, node[2::2], node[3::2]))
-    if node[1:cap] != sums:
-        width = cap >> 1
-        while node[width : 2 * width] == sums[width - 1 : 2 * width - 1]:
-            width >>= 1
-        return f"row of {width} nodes is not the sum of the row below"
-    return ""
+        bits[c] = 1
+    # slot j counts the colors in (j & (j - 1), j]: with the prefix counts
+    # below its range added, every slot reads the prefix count at j
+    counts = list(accumulate(bits))
+    below = _BELOW[cap](counts)
+    read = list(map(operator.add, t, below))
+    if read == counts:
+        return ""
+    j = list(map(operator.ne, read, counts)).index(True)
+    counted = f"colors [{(j & (j - 1)) + 1}, {j}]" if j else "no color"
+    return f"slot {j}, counting {counted}, holds {t[j]}, not {counts[j] - below[j]}"

@@ -78,9 +78,10 @@ def check_vertex_palette(
     """Every vertex color within its limit: the fixed ``palette``, or, when
     it is None (adaptive mode), the vertex's degree + 1.
 
-    One C-level verdict first (the largest color against the palette, or
-    each color against its vertex's degree + 1); only a failing state is
-    walked to list its violations, in vertex order.
+    Colors start at 1. One C-level verdict first (the smallest color
+    against 1, and the largest against the palette or each color against its
+    vertex's degree + 1); only a failing state is walked to list its
+    violations, in vertex order.
     """
     adj = graph._adj
     if palette is None:
@@ -88,12 +89,12 @@ def check_vertex_palette(
     else:
         fits = max(chi, default=0) <= palette
     bad: List[tuple] = []
-    if not fits:
+    if not fits or min(chi, default=1) < 1:
         limits = [len(a) + 1 for a in adj] if palette is None else repeat(palette)
         bad = [
             ("palette", v, c, limit)
             for v, (c, limit) in enumerate(zip(chi, limits))
-            if c > limit
+            if not 1 <= c <= limit
         ]
     return AuditReport.from_violations(bad)
 
@@ -111,22 +112,32 @@ def check_edge_coloring(
     the ``edge-palette`` violations, each edge's under its lower endpoint.
     ``colors`` is ``graph.handle_colors()`` for the same state (read if not given).
 
-    A vertex's colors are its slice of that flat list. A vertex whose colors
-    are all set, distinct and within its bound (the palette, or 2 * deg(v) - 1,
-    which no incident edge's own bound is below) owns no violation; only a
-    vertex that fails is walked edge by edge to list them.
+    A vertex's colors are its slice of that flat list. Colors start at 1.
+    One C-level verdict on the whole list comes first: every color set, none
+    below 1 and, in fixed mode, none above the palette. Then a vertex whose
+    colors are distinct and, in adaptive mode, at most 2 * deg(v) - 1 (which
+    no incident edge's own bound is below) owns no violation; only a vertex
+    that fails is walked edge by edge to list them.
     """
     proper: List[tuple] = []
     bad_palette: List[tuple] = []
     adj = graph._adj
     if colors is None:
         colors = graph.handle_colors()
+    in_range = (
+        None not in colors
+        and min(colors, default=1) >= 1
+        and (palette is None or max(colors, default=0) <= palette)
+    )
     for v, (nbrs, end) in enumerate(zip(adj, accumulate(map(len, adj)))):
         if not nbrs:
             continue
         distinct = set(colors[end - len(nbrs) : end])
-        bound = palette if palette is not None else 2 * len(nbrs) - 1
-        if None not in distinct and len(distinct) == len(nbrs) and max(distinct) <= bound:
+        if (
+            in_range
+            and len(distinct) == len(nbrs)
+            and (palette is not None or max(distinct) < 2 * len(nbrs))
+        ):
             continue
         seen: Dict[int, Tuple[int, int]] = {}
         for u, c in nbrs.items():
@@ -142,7 +153,7 @@ def check_edge_coloring(
                 seen[c] = e
             if v < u:
                 limit = palette if palette is not None else 2 * max(len(nbrs), len(adj[u])) - 1
-                if c > limit:
+                if not 1 <= c <= limit:
                     bad_palette.append(("edge-palette", e, c, palette))
     return AuditReport.from_violations(proper), bad_palette
 

@@ -5,7 +5,6 @@ import hashlib
 import io
 import math
 import random
-from operator import add
 
 import pytest
 from hypothesis import given
@@ -20,17 +19,16 @@ from colorbench import (
     new_graph,
 )
 from colorbench import verify
-from colorbench.edge_coloring import _tree_problem, count_range, grown
-from colorbench.edge_coloring import add as tree_add
+from colorbench.edge_coloring import _tree_problem, add as tree_add, prefix, widen
 from colorbench.harness import TraceSpec, audit_engine, generate, make_engine, run
 
 
 # -- counting tree -----------------------------------------------------------------
 
 
-def tree_cap(node):
-    """The highest color a counting tree (a node list) covers."""
-    return len(node) >> 1
+def tree_cap(t):
+    """The highest color a Fenwick tree (a slot list) covers."""
+    return len(t) - 1
 
 
 def next_pow2(x):
@@ -38,34 +36,61 @@ def next_pow2(x):
     return 1 << (x - 1).bit_length()
 
 
+def rebuilt_tree(cap, colors):
+    """The Fenwick tree over [1, cap] holding ``colors``, slot by slot from its
+    definition: slot j counts the colors in (j - lowbit(j), j]."""
+    return [sum(1 for c in colors if j - (j & -j) < c <= j) for j in range(cap + 1)]
+
+
+def range_count(t, a, b):
+    """Colors held in [a, b), as the engine counts them: two prefix sums."""
+    return prefix(t, b - 1) - prefix(t, a - 1)
+
+
+def walk_slots(cap, c):
+    """Slots an add of color c visits in a tree over [1, cap]."""
+    visits = 0
+    while c <= cap:
+        visits += 1
+        c += c & -c
+    return visits
+
+
 def test_tree_matches_naive_bitmap():
     rng = random.Random(5)
-    t = [0] * 64  # capacity 32
+    t = [0] * 33  # capacity 32
     bits = [0] * 33  # 1-based
     for _ in range(400):
         c = rng.randrange(1, 33)
-        if bits[c]:
-            bits[c] = 0
-            tree_add(t, c, -1)
-        else:
-            bits[c] = 1
-            tree_add(t, c, 1)
+        delta = -1 if bits[c] else 1
+        bits[c] += delta
+        assert tree_add(t, c, delta) == walk_slots(32, c)
         a = rng.randrange(1, 34)
         b = rng.randrange(a, 34)
-        count, _ = count_range(t, a, b)
-        assert count == sum(bits[a:b])
-    assert t[1] == sum(bits)
+        assert range_count(t, a, b) == sum(bits[a:b])
+    assert t == rebuilt_tree(32, [c for c in range(33) if bits[c]])
+    assert t[32] == sum(bits)
 
 
-def test_tree_grow_preserves_counts():
-    t = [0] * 8  # capacity 4
-    for c in (1, 3, 4):
-        tree_add(t, c, 1)
-    big = grown(t, 16)
-    assert big[1] == 3
-    for a in range(1, 6):
-        for b in range(a, 6):
-            assert count_range(big, a, b)[0] == count_range(t, a, b)[0]
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=64), max_size=80),
+    st.data(),
+)
+def test_prefix_and_range_counts_match_a_bitmap(log_cap, toggles, data):
+    cap = 1 << log_cap
+    t = [0] * (cap + 1)
+    bits = [0] * (cap + 1)
+    for c in toggles:
+        c = (c - 1) % cap + 1
+        delta = -1 if bits[c] else 1
+        bits[c] += delta
+        tree_add(t, c, delta)
+    assert t == rebuilt_tree(cap, [c for c in range(cap + 1) if bits[c]])
+    assert [prefix(t, c) for c in range(cap + 1)] == [sum(bits[: c + 1]) for c in range(cap + 1)]
+    a = data.draw(st.integers(min_value=1, max_value=cap + 1))
+    b = data.draw(st.integers(min_value=a, max_value=cap + 1))
+    assert range_count(t, a, b) == sum(bits[a:b])
 
 
 @given(
@@ -73,38 +98,15 @@ def test_tree_grow_preserves_counts():
     st.integers(min_value=0, max_value=4),
     st.data(),
 )
-def test_grown_equals_tree_rebuilt_from_the_same_leaves(log_cap, log_factor, data):
+def test_widen_equals_tree_rebuilt_from_the_same_colors(log_cap, log_factor, data):
     cap = 1 << log_cap
     new_cap = cap << log_factor
     colors = data.draw(st.sets(st.integers(min_value=1, max_value=cap)))
-    t = [0] * (2 * cap)
-    rebuilt = [0] * (2 * new_cap)
+    t = [0] * (cap + 1)
     for c in colors:
         tree_add(t, c, 1)
-        tree_add(rebuilt, c, 1)
-    assert grown(t, new_cap) == rebuilt
-
-
-def test_grown_refuses_a_narrower_or_uneven_capacity():
-    for bad in (2, 12):
-        with pytest.raises(ValueError):
-            grown([0] * 8, bad)
-
-
-@given(
-    st.lists(st.integers(min_value=1, max_value=64), max_size=80),
-    st.integers(min_value=1, max_value=65),
-    st.integers(min_value=0, max_value=64),
-)
-def test_tree_range_counts_match_model(toggles, a, span):
-    t = [0] * 128  # capacity 64
-    bits = [0] * 65
-    for c in toggles:
-        delta = -1 if bits[c] else 1
-        bits[c] += delta
-        tree_add(t, c, delta)
-    b = min(a + span, 65)
-    assert count_range(t, a, b)[0] == sum(bits[a:b])
+    assert widen(t, new_cap) == new_cap - cap
+    assert t == rebuilt_tree(new_cap, colors)  # this list, extended in place
 
 
 # -- fixed-palette coloring -----------------------------------------------------------
@@ -159,75 +161,39 @@ def test_tree_width_follows_the_largest_color_held():
     ec.self_check()
 
 
-def test_a_vertex_without_a_tree_gets_its_partners_width():
+def test_a_vertex_without_a_tree_gets_one_as_wide_as_the_span():
     g = new_graph(40, 32)
     ec = EdgeColoring(g)
     for v in range(1, 10):
-        g.insert(0, v)
-    g.delete(0, 2)  # frees color 2
-    assert tree_cap(ec.tree[0]) == 16 and ec.tree[20] is None
-    assert g.insert(0, 20).stats["color_assigned"] == 2
-    assert tree_cap(ec.tree[20]) == 16  # its partner's width, not next_pow2(2)
+        g.insert(0, v)  # colors 1..9: vertex 0's tree has capacity 16
+    for v in range(3, 10):
+        g.delete(0, v)  # vertex 0 keeps colors 1 and 2
+    assert g.insert(0, 20).stats["color_assigned"] == 3
+    # span next_pow2(3 + 1 - 1) = 4: not its partner's width
+    assert tree_cap(ec.tree[0]) == 16 and tree_cap(ec.tree[20]) == 4
     assert g.insert(21, 22).stats["color_assigned"] == 1
     assert tree_cap(ec.tree[21]) == tree_cap(ec.tree[22]) == 1
     ec.self_check()
 
 
-def test_a_vertex_without_a_tree_gets_a_fresh_one_not_a_copy(monkeypatch):
-    g = new_graph(40, 32)
-    ec = EdgeColoring(g)
-    for v in range(6, 15):
-        g.insert(5, v)  # colors 1..9: vertex 5's tree has capacity 16
-    g.delete(5, 7)  # frees color 2
-    g.delete(5, 8)  # frees color 3
-    copies = []
-
-    def counted(node, new_cap):
-        copies.append(new_cap)
-        return grown(node, new_cap)
-
-    monkeypatch.setattr("colorbench.edge_coloring.grown", counted)
-    # a tree-less endpoint below, then above, its partner; then two tree-less
-    assert g.insert(1, 5).stats["color_assigned"] == 2
-    assert g.insert(5, 20).stats["color_assigned"] == 3
-    assert g.insert(21, 22).stats["color_assigned"] == 1
-    assert copies == []
-    assert [tree_cap(ec.tree[v]) for v in (1, 20, 21, 22)] == [16, 16, 1, 1]
-    ec.self_check()
-
-
 @pytest.mark.parametrize("delta, mode", [(16, "uniform-random"), (None, "sliding-window")])
-def test_coloring_or_uncoloring_an_edge_leaves_its_trees_at_one_width(delta, mode):
+def test_trees_widen_in_place_and_never_narrow(delta, mode):
     g, ec = make_engine("edge-c", 40, delta, seed=7)
-    written = []
-    color, uncolor = ec.color, ec._uncolor
-
-    def one_width(u, v):
-        written.append((u, v))
-        assert len(ec.tree[u]) == len(ec.tree[v])
-
-    def checked_color(u, v):
-        c, visits = color(u, v)
-        one_width(u, v)
-        return c, visits
-
-    def checked_uncolor(u, v, c):
-        visits = uncolor(u, v, c)
-        one_width(u, v)
-        return visits
-
-    # a shrink fixup recolors another edge of u or v, which may pair (and so
-    # widen) one of the deleted edge's trees after the delete wrote them
-    ec.color, ec._uncolor = checked_color, checked_uncolor
-    fixups = 0
+    fixups = widenings = 0
     for ev in generate(TraceSpec(40, delta, 1500, 7, mode)):
-        written.clear()
+        before = list(ec.tree)
+        widths = [None if t is None else len(t) for t in before]
         r = g.apply(ev)
-        assert written[0] == (min(ev.u, ev.v), max(ev.u, ev.v))
-        assert len(written) == 1 + 2 * r.stats["recolored_edges"]
+        for t, old, width in zip(ec.tree, before, widths):
+            if old is not None:
+                assert t is old and len(t) >= width
+                widenings += len(t) > width
+        # every cell a tree holds was written once, by its creation or a widening
+        assert ec.widened_cells == sum(len(t) for t in ec.tree if t)
         fixups += r.stats["recolored_edges"]
         ec.self_check()
-    assert (fixups > 0) == (delta is None)
+    assert widenings > 0 and (fixups > 0) == (delta is None)
+    assert ec.totals()["widened_cells"] == ec.widened_cells
 
 
 @pytest.mark.parametrize("delta", [3, None])
@@ -251,12 +217,12 @@ def test_path_delete_keeps_other_colors():
     g.insert(1, 2)
     g.insert(2, 3)
     before = ec.edge_colors()
-    root_before = ec.tree[1][1]
+    total_before = ec.tree[1][-1]  # the top slot counts every color held
     g.delete(1, 2)
     after = ec.edge_colors()
     assert after == {e: c for e, c in before.items() if e != (1, 2)}
-    assert ec.tree[1][1] == root_before - 1
-    assert ec.tree[2][1] == 1
+    assert ec.tree[1][-1] == total_before - 1
+    assert ec.tree[2][-1] == 1
     assert verify.check_edge_coloring(g, ec.palette)[0].passed
 
 
@@ -285,24 +251,23 @@ def test_worst_case_visits_bound_every_update():
 def test_adaptive_visits_bound_every_update(seed):
     # With C the capacity of the widest tree after the update (trees never
     # narrow, so C covers every tree the update read), ``color`` reads at
-    # most 2 + 2 lg C nodes in its search (2 for the whole span, 2 per level
-    # below; the span is at most C, the width its trees are paired to) and
-    # 2 lg C + 2 in its walk; ``_uncolor`` is one walk, 2 lg C + 2. An insert
-    # colors once: 4 lg C + 4. A delete uncolors its edge and makes at most
-    # four fixups (``_shrink_fixups``), each an uncolor and a color:
-    # 5 (2 lg C + 2) + 4 (4 lg C + 4) = 26 lg C + 26. The bounds asserted
-    # below, 4 lg C + 6 and 26 lg C + 34, allow 2 nodes more per color. A
-    # span is at most next_pow2(deg(u) + deg(v) - 1) <= next_pow2(2n - 3),
-    # and so is C.
+    # most 2 + 2 lg C slots in its search (2 for the whole span, 2 per level
+    # below; the span is at most C, the width its trees are widened to) and
+    # 2 lg C + 2 in its two walks (an add visits at most lg C + 1 slots of a
+    # tree); ``_uncolor`` is two walks, 2 lg C + 2. An insert colors once:
+    # 4 lg C + 4. A delete uncolors its edge and makes at most four fixups
+    # (``_shrink_fixups``), each an uncolor and a color:
+    # 5 (2 lg C + 2) + 4 (4 lg C + 4) = 26 lg C + 26. A span is at most
+    # next_pow2(deg(u) + deg(v) - 1) <= next_pow2(2n - 3), and so is C.
     n = 80
     g, ec = make_engine("edge-c", n, None, seed=seed)
     fixups = 0
     for ev in generate(TraceSpec(n, None, 6000, seed, "sliding-window")):
         r = g.apply(ev)
-        cap = max(map(len, filter(None, ec.tree))) >> 1
+        cap = max(map(len, filter(None, ec.tree))) - 1
         assert cap <= next_pow2(2 * n - 3)
         lg = cap.bit_length() - 1
-        bound = 4 * lg + 6 if r.kind == INSERT else 26 * lg + 34
+        bound = 4 * lg + 4 if r.kind == INSERT else 26 * lg + 26
         assert r.stats["tree_visits"] <= bound
         assert r.stats["recolored_edges"] <= 4
         fixups += r.stats["recolored_edges"]
@@ -521,16 +486,17 @@ def test_colors_match_the_full_width_golden(n, delta, seed, mode):
 # totals were recorded again when an edge's two trees were first paired to
 # one width (a widened tree's nodes are read, and two checks are counted per
 # search), and again when both modes searched one span, next_pow2(deg(u) +
-# deg(v) - 1), over trees widened to it first; the final colors did not
+# deg(v) - 1), over trees widened to it first, and again when each tree
+# became a Fenwick tree walked at its own width; the final colors did not
 # change.
 RECEIPT_GOLDEN = {
     (129, 128, 20000, 11, "insert-heavy"): (
-        "3bc61ce65623ba4add7330ab699c06b4fe4713253b3c21a289b4dbaa0f4cf996",
+        "63acf87e20f5af3d11d4908efa1385902a3b552a960d9530cf33289ed6d37029",
         "3bfb309ab3060885f645e6bd8cc29d6fda0b9160f0fe359c364071449474f391",
         28152,
     ),
     (60, None, 6000, 13, "sliding-window"): (
-        "dfd1639b6c85d425089d9256aae485af85b1b1da0d7e81ed61b065b6c6a67d93",
+        "8513b0f399a4fdd2109d0db3bccc7fcf2fe6cab48a1bd6b25ee2ff4057c5c416",
         "5a485e62f0b45aea4415687818f7f7188f14573ff2da76b719902adfa9121ca9",
         7724,
     ),
@@ -581,9 +547,9 @@ def two_wide_trees(delta):
     color 1 in a tree of capacity 1.
 
     Edge (0, 3) took color 5 while both endpoints held colors 1 and 2, which
-    grew both trees; deleting it, (0, 2) and (3, 5) leaves them wide, and
-    pairing widens the trees of 2 and 5 to 8 as well. Vertex 4 last shared
-    an edge with 3 while both trees had capacity 1.
+    widened both trees to its span, 8; deleting it, (0, 2) and (3, 5) leaves
+    them wide, and the trees of 2 and 5 at the span of their one edge, 2.
+    Vertex 4 last shared an edge with 3 while both trees had capacity 1.
     """
     g = new_graph(6, delta)
     ec = EdgeColoring(g)
@@ -592,15 +558,15 @@ def two_wide_trees(delta):
     assert g.insert(0, 3).stats["color_assigned"] == 5
     for u, v in ((0, 3), (0, 2), (3, 5)):
         g.delete(u, v)
-    assert [tree_cap(t) for t in ec.tree] == [8, 1, 8, 8, 1, 8]
+    assert [tree_cap(t) for t in ec.tree] == [8, 1, 2, 8, 1, 2]
     ec.self_check()
     return g, ec
 
 
-# Inserting (0, v): v = 3 finds both endpoints' trees at one width, v = 4 a
-# tree of capacity 1 that the search widens to 0's capacity 8 first. Both
-# endpoints then have degree 2, so the search span is next_pow2(3) = 4 in
-# both modes, and the trees are twice as wide as the span.
+# Inserting (0, v): v = 3 finds both endpoints' trees at capacity 8, v = 4 a
+# tree of capacity 1 that the search widens to the span first, leaving the
+# two trees at different widths. Both endpoints then have degree 2, so the
+# search span is next_pow2(3) = 4 in both modes, half the width of 0's tree.
 SEARCHES = {
     "fixed-equal-widths": (4, 3, 4),
     "fixed-unequal-widths": (4, 4, 4),
@@ -609,10 +575,11 @@ SEARCHES = {
 }
 
 
-def assert_paired_and_refuses_the_next_update(g, ec, v):
-    # the search paired the trees before it failed: v's tree, widened or
-    # not, still counts its one color
-    assert tree_cap(ec.tree[0]) == tree_cap(ec.tree[v]) == 8
+def assert_widened_and_refuses_the_next_update(g, ec, v, span):
+    # the search widened v's tree to the span before it failed, and v's
+    # tree, widened or not, still counts its one color
+    assert tree_cap(ec.tree[0]) == 8
+    assert tree_cap(ec.tree[v]) == max(span, 8 if v == 3 else 1)
     assert _tree_problem(ec.tree[v], [1]) == ""
     with pytest.raises(InternalInvariantViolation, match="failed in the engine"):
         g.insert(1, 2)
@@ -621,9 +588,8 @@ def assert_paired_and_refuses_the_next_update(g, ec, v):
 @pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
 def test_a_search_range_read_full_fails_the_update(delta, v, span):
     g, ec = two_wide_trees(delta)
-    t = ec.tree[0]
-    # the node of 0's tree that counts [1, span]: with v's color 1 it reads full
-    t[tree_cap(t) // span] += span - 1
+    # slot span of 0's tree counts [1, span]: with v's color 1 it reads full
+    ec.tree[0][span] += span - 1
     checks = ec.invariant_checks
     with pytest.raises(
         InternalInvariantViolation,
@@ -633,16 +599,15 @@ def test_a_search_range_read_full_fails_the_update(delta, v, span):
     assert ec.invariant_failures == 1
     assert ec.invariant_checks == checks + 1  # the one check made, on the whole span
     assert g._adj[0][v] is None
-    assert_paired_and_refuses_the_next_update(g, ec, v)
+    assert_widened_and_refuses_the_next_update(g, ec, v, span)
 
 
 @pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
 def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, span):
     g, ec = two_wide_trees(delta)
     t = ec.tree[0]
-    cap = tree_cap(t)
-    t[cap // 2] += 1  # [1, 2] reads full: the search turns right, to [3, 4]
-    t[cap + 2] += 1  # color 3 reads held: it turns right again, to color 4
+    t[2] += 1  # slot 2 counts [1, 2], which reads full: the search turns right, to [3, 4]
+    t[3] += 1  # slot 3 counts color 3, which reads held: it turns right again, to color 4
     checks = ec.invariant_checks
     with pytest.raises(
         InternalInvariantViolation,
@@ -652,19 +617,19 @@ def test_a_search_turned_into_a_half_not_full_fails_the_landing_bound(delta, v, 
     assert ec.invariant_failures == 1
     assert ec.invariant_checks == checks + 2  # the whole-span and the landing check
     assert g._adj[0][v] is None
-    assert_paired_and_refuses_the_next_update(g, ec, v)
+    assert_widened_and_refuses_the_next_update(g, ec, v, span)
 
 
 @pytest.mark.parametrize("delta, v, span", SEARCHES.values(), ids=SEARCHES.keys())
 def test_a_search_reads_its_span_not_the_width_of_the_trees(delta, v, span):
     g, ec = two_wide_trees(delta)
-    cap = tree_cap(ec.tree[0])
-    assert cap == 2 * span
+    assert tree_cap(ec.tree[0]) == 2 * span
     r = g.insert(0, v)
     c = r.stats["color_assigned"]
     assert c == 3  # both endpoints hold color 1, so [1, 2] is full
-    # the whole span and one node per level below it, then one walk
-    assert r.stats["tree_visits"] == 2 * span.bit_length() + 2 * (cap + c - 1).bit_length()
+    # the whole span and one slot per level below it, then a walk per tree
+    walks = sum(walk_slots(tree_cap(ec.tree[x]), c) for x in (0, v))
+    assert r.stats["tree_visits"] == 2 * span.bit_length() + walks
     ec.self_check()
 
 
@@ -689,28 +654,23 @@ def test_corrupted_tree_fails_the_rebuild_audit():
     assert f"vertex {v}:" in str(reports["tree-rebuild"].violations)
 
 
-def rebuilt_tree_problem(node, colors):
-    """Reference: ``_tree_problem`` as it was when it rebuilt every row of the
-    tree from the held colors, leaves first."""
-    if node is None:
+def rebuilt_tree_problem(t, colors):
+    """Reference: ``_tree_problem`` by a rebuild of the tree from its
+    definition, compared slot by slot."""
+    if t is None:
         return "holds colors but has no tree" if colors else ""
-    cap = len(node) >> 1
-    bits = [0] * cap
-    for c in colors:
+    cap = tree_cap(t)
+    if cap not in [1 << k for k in range(cap.bit_length())]:
+        return f"capacity {cap} is not a power of two"
+    for i, c in enumerate(colors):
         if c is None or not 1 <= c <= cap:
             return f"color {c} outside its tree's range [1, {cap}]"
-        if bits[c - 1]:
+        if c in colors[:i]:
             return f"two edges share color {c}"
-        bits[c - 1] = 1
-    row = node[cap:]
-    if row != bits:
-        return "leaf row differs from the held colors"
-    width = cap
-    while width > 1:
-        row = list(map(add, row[0::2], row[1::2]))
-        width >>= 1
-        if node[width : 2 * width] != row:
-            return f"row of {width} nodes is not the sum of the row below"
+    for j, (have, want) in enumerate(zip(t, rebuilt_tree(cap, colors))):
+        if have != want:
+            counted = f"colors [{j - (j & -j) + 1}, {j}]" if j else "no color"
+            return f"slot {j}, counting {counted}, holds {have}, not {want}"
     return ""
 
 
@@ -738,30 +698,62 @@ def _recolor(w, color_of):
     return corrupt
 
 
+def _resize(slots):
+    def corrupt(g, ec):
+        ec.tree[0][9:] = [0] * slots
+    return corrupt
+
+
+# the slots of a Fenwick tree over [1, 8], by kind, holding colors 1..5:
+# t[0] = 0; odd slots count one color (1, 1, 1, 0); 2 and 6 count a pair
+# (2, 1); 4 and 8 count [1, slot], the tree's total at 8 (4, 5)
 TREE_CORRUPTIONS = {
-    "root": _bump(1),
-    "row-of-2": _bump(3),
-    "row-of-4": _bump(6),
-    "leaf": _bump(8 + 6),
-    "rows-of-4-and-1": _bump(5, 1),
-    "leaf-and-row-of-2": _bump(8, 2),
-    "color-outside-the-tree": _recolor(5, lambda g: 9),
-    "color-none": _recolor(3, lambda g: None),
-    "color-of-a-sibling-edge": _recolor(3, lambda g: g._adj[0][4]),
+    "slot-0": (_bump(0), "slot 0, counting no color, holds 1, not 0"),
+    "one-color-held": (_bump(5), "slot 5, counting colors [5, 5], holds 2, not 1"),
+    "one-color-free": (_bump(7), "slot 7, counting colors [7, 7], holds 1, not 0"),
+    "pair": (_bump(6), "slot 6, counting colors [5, 6], holds 2, not 1"),
+    "prefix": (_bump(4), "slot 4, counting colors [1, 4], holds 5, not 4"),
+    "total": (_bump(8), "slot 8, counting colors [1, 8], holds 6, not 5"),
+    "total-and-pair": (_bump(8, 2), "slot 2, counting colors [1, 2], holds 3, not 2"),
+    "extra-slot": (_resize(1), "capacity 9 is not a power of two"),
+    "color-outside-the-tree": (
+        _recolor(5, lambda g: 9), "color 9 outside its tree's range [1, 8]"
+    ),
+    "color-zero": (_recolor(5, lambda g: 0), "color 0 outside its tree's range [1, 8]"),
+    "color-none": (_recolor(3, lambda g: None), "color None outside its tree's range [1, 8]"),
+    "color-of-a-sibling-edge": (
+        _recolor(3, lambda g: g._adj[0][4]), "two edges share color 4"
+    ),
 }
 
 
-@pytest.mark.parametrize("corrupt", TREE_CORRUPTIONS.values(), ids=TREE_CORRUPTIONS.keys())
-def test_self_check_names_what_the_row_rebuild_names(corrupt):
+@pytest.mark.parametrize(
+    "corrupt, message", TREE_CORRUPTIONS.values(), ids=TREE_CORRUPTIONS.keys()
+)
+def test_self_check_names_the_slot_a_rebuild_names(corrupt, message):
     g, ec = cap_8_star()
     corrupt(g, ec)
     colors = [list(nbrs.values()) for nbrs in g._adj]
     problems = [_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
     assert problems == [rebuilt_tree_problem(t, cs) for t, cs in zip(ec.tree, colors)]
-    assert problems[0]
+    assert problems[0] == message
     with pytest.raises(InternalInvariantViolation) as exc:
         ec.self_check()
-    assert str(exc.value) == f"vertex 0: {problems[0]}"
+    assert str(exc.value) == f"vertex 0: {message}"
+
+
+@pytest.mark.parametrize("delta, mode", [(8, "uniform-random"), (None, "sliding-window")])
+def test_self_check_equals_the_rebuild_on_clean_and_corrupted_trees(delta, mode):
+    g, ec = make_engine("edge-c", 30, delta, seed=2)
+    for ev in generate(TraceSpec(30, delta, 600, 2, mode)):
+        g.apply(ev)
+    colors = [list(nbrs.values()) for nbrs in g._adj]
+    rng = random.Random(2)
+    for v, (t, cs) in enumerate(zip(ec.tree, colors)):
+        assert _tree_problem(t, cs) == rebuilt_tree_problem(t, cs) == ""
+        if t is not None:
+            t[rng.randrange(len(t))] += rng.choice((-1, 1))
+            assert _tree_problem(t, cs) == rebuilt_tree_problem(t, cs) != ""
 
 
 def test_corrupted_tree_fails_the_rebuild_audit_under_python_O(run_optimized):

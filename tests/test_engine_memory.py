@@ -65,7 +65,8 @@ def test_edge_c_keeps_no_second_copy_of_its_colors():
     # Dense insert-heavy graph, about 16,000 edges. With a color -> handle map
     # per vertex beside the handles and the trees, fixed-mode edge-c took
     # 305 B per edge here; with the colors on the handles and in the trees
-    # only, 220 B; with no handles, the colors in the adjacency slots, 163 B.
+    # only, 220 B; with no handles, the colors in the adjacency slots, 163 B;
+    # with a Fenwick tree of cap + 1 counts per vertex, not 2 * cap, 125 B.
     per_edge = replay_bytes_per_edge("edge-c", TraceSpec(300, 128, 20_000, 3, "insert-heavy"))
     assert per_edge <= 260, per_edge
 

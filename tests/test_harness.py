@@ -459,9 +459,10 @@ def test_det_vc_fallback_writes_the_greedy_columns():
 # instead of (1, ..., 1); its phi_after column did not change. edge-c's
 # tree_visits, cells_touched and cum_cells_touched columns and totals were
 # re-recorded when an edge's two trees were first paired to one width, so a
-# widened tree's nodes are read, and again when both modes searched one span,
-# next_pow2(deg(u) + deg(v) - 1), over trees widened to it first; its
-# color_assigned column did not change.
+# widened tree's nodes are read, again when both modes searched one span,
+# next_pow2(deg(u) + deg(v) - 1), over trees widened to it first, and again
+# when each tree became a Fenwick tree walked at its own width (when its
+# totals gained widened_cells); its color_assigned column did not change.
 CSV_TRACE_GOLDEN = {
     "sequence_number": "44a5281ba25c322fbc1854442ab7d61574e67c11b1ed57f1565d7fac8b56b06f",
     "kind": "5c0560395000fd071405e875a0edf40a2ccd1b9509498fc4435d5a2829ad970e",
@@ -487,11 +488,11 @@ CSV_ENGINE_GOLDEN = {
         "cum_cells_touched": "302de2e8eb9c98568a5360ce73bd5fafa5b46fb9e0faa792b89d52f52b822af2",
     },
     "edge-c": {
-        "tree_visits": "4463ebeeb165a57a9af7bcd38264d86beece7204caf4f0a22eebbfab0833ea1a",
+        "tree_visits": "cb223a3654b68ea222d8b06159fe03f3073f411ca0e3dda4b0035e9a267088a5",
         "recolored_edges": "b633e8bfe5e8af07bf517e7d431a845d88e9355ad859fc0202ba30375ef41e9f",
         "color_assigned": "731ab1e7097cbfeaa88f249349189d64bfbf9cbf4d5e8fb5687453b2c34fdcbc",
-        "cells_touched": "4463ebeeb165a57a9af7bcd38264d86beece7204caf4f0a22eebbfab0833ea1a",
-        "cum_cells_touched": "97a3420cc212545b48df1853883d985b746e5835a840a4dc6dc196696a48a596",
+        "cells_touched": "cb223a3654b68ea222d8b06159fe03f3073f411ca0e3dda4b0035e9a267088a5",
+        "cum_cells_touched": "0e4d7f1834e1d38711b4fe8613f077e6d7f9bc8f7e4432f8c5d78765083dfcd7",
     },
     "greedy-baseline": {
         "recolor_calls": "a0e89a37e8cdf3006abf10ff793b8254909b50d3d58d237888d3b5c08ebb2043",
@@ -503,7 +504,8 @@ TOTALS_GOLDEN = {
     "rand-vc": {"recolor_calls": 93, "level_moves": 64, "chain_len_max": 2,
                 "cum_cells_touched": 23994},
     "det-vc": {"fix_iterations": 648, "cum_cells_touched": 40347},
-    "edge-c": {"recolored_edges": 0, "tree_visits": 78240, "cum_cells_touched": 78240},
+    "edge-c": {"recolored_edges": 0, "tree_visits": 60934, "cum_cells_touched": 60934,
+               "widened_cells": 12840},
     "greedy-baseline": {"recolor_calls": 3006, "cum_cells_touched": 45058},
 }
 
@@ -574,6 +576,10 @@ def test_run_totals_equal_a_fold_of_the_receipts(engine, delta):
     assert res.exit_code == 0
     g, eng = harness.make_engine(engine, 40, delta, seed=4, beta=2)
     expected = fold_receipts(eng.RECEIPT_FIELDS, (g.apply(ev).stats for ev in events))
+    if engine == "edge-c":
+        # not a receipt field: every cell a tree holds was written once, when
+        # the tree was created or widened
+        expected["widened_cells"] = sum(len(t) for t in eng.tree if t)
     assert list(res.totals.items()) == list(expected.items())
     # every total is counted on this trace: rand-vc moves levels at beta=2,
     # and only fixed-mode edge-c has no deletion fixups to recolor edges

@@ -4,7 +4,9 @@ A Hypothesis state machine replays random updates against one engine and a
 model edge set. Valid updates must be accepted; self-loops, duplicate
 inserts, phantom deletes, over-bound inserts and unknown vertices must be
 refused with their own error and leave the graph and the engine exactly as
-they were. After every step the deep audit must pass.
+they were. After every step the deep audit must pass, and edge-c's count of
+cells written by tree creation and widening must equal the cells its trees
+hold.
 """
 
 from collections import Counter
@@ -171,6 +173,11 @@ class EngineMachine(RuleBasedStateMachine):
         reports = harness.audit_engine(self.name, self.graph, self.engine, deep=True)
         assert [check for check, report in reports if not report.passed] == []
         assert self.graph.num_edges == len(self.edges)
+        if self.name == "edge-c":
+            # every cell a tree holds was written once, by its creation or a
+            # widening, and refused updates write none
+            eng = self.engine
+            assert eng.widened_cells == sum(len(t) for t in eng.tree if t)
 
 
 @pytest.mark.parametrize("name, delta", CONFIGS)

@@ -38,7 +38,28 @@ def test_vertex_palette_limits_a_fixed_palette_or_each_degree_plus_one():
     assert adaptive.violations == [("palette", 0, 3, 2), ("palette", 3, 2, 1)]
     fixed = verify.check_vertex_palette(g, [4, 1, 5, 1], 3)
     assert fixed.violations == [("palette", 0, 4, 3), ("palette", 2, 5, 3)]
+    # colors start at 1, in both modes (vertex 1's limit is 3 in both)
+    for palette in (3, None):
+        below = verify.check_vertex_palette(g, [2, 0, 2, 1], palette)
+        assert below.violations == [("palette", 1, 0, 3)]
     assert verify.check_vertex_palette(new_graph(0, 1), [], None).passed
+
+
+@pytest.mark.parametrize(
+    "name, delta", [("rand-vc", 8), ("rand-vc", None), ("greedy-baseline", 8), ("det-vc", 3)]
+)
+def test_a_vertex_color_below_one_fails_the_palette_audit(name, delta):
+    # det-vc below its smallest degree bound is the greedy engine, whose
+    # colors the palette audit reads
+    g, eng = make_engine(name, 30, delta, seed=1)
+    for ev in generate(TraceSpec(30, delta, 300, 1, "uniform-random")):
+        g.apply(ev)
+    v = max(range(g.n), key=g.degree)
+    eng.chi[v] = 0
+    reports = dict(audit_engine(name, g, eng))
+    limit = g.degree(v) + 1 if delta is None else eng.palette
+    assert reports["palette"].violations == [("palette", v, 0, limit)]
+    assert reports["proper-vertex"].passed
 
 
 def test_proper_edge_flags_shared_color_and_uncolored():
@@ -285,12 +306,12 @@ def dict_edge_audit(graph, engine):
     degree = graph.degree
     if engine.adaptive:
         for (u, v), c in colors.items():
-            if c is None or c > 2 * max(degree(u), degree(v)) - 1:
+            if c is None or not 1 <= c <= 2 * max(degree(u), degree(v)) - 1:
                 bad.append(("edge-palette", (u, v), c, None))
     else:
         limit = engine.palette
         for e, c in colors.items():
-            if c is None or c > limit:
+            if c is None or not 1 <= c <= limit:
                 bad.append(("edge-palette", e, c, limit))
     if engine.invariant_failures:
         bad.append(("search-invariant", None, engine.invariant_failures, 0))
@@ -334,11 +355,17 @@ def _above_the_palette(g, eng, rng):
         h.color = eng.palette + 1
 
 
+def _below_the_palette(g, eng, rng):
+    g.handle(*rng.choice(list(g.edges()))).color = 0
+
+
 def _search_failure(g, eng, rng):
     eng.invariant_failures += rng.randrange(1, 4)
 
 
-EDGE_CORRUPTIONS = [_share_a_color, _uncolor, _above_the_palette, _search_failure]
+EDGE_CORRUPTIONS = [
+    _share_a_color, _uncolor, _above_the_palette, _below_the_palette, _search_failure
+]
 
 
 @pytest.mark.parametrize("delta", [8, None], ids=["fixed", "adaptive"])
@@ -356,6 +383,16 @@ def test_edge_audit_agrees_with_the_dict_audit_on_corrupted_states(corrupt, delt
         corrupt(g, eng, random.Random(seed))
         proper, bad = _assert_edge_audit_matches_the_reference(g, eng)
         assert proper or bad
+
+
+@pytest.mark.parametrize("delta", [8, None], ids=["fixed", "adaptive"])
+def test_an_edge_color_below_one_fails_the_edge_palette_audit(delta):
+    g, eng = _edge_state(3, delta)
+    e = min(g.edges())
+    g.handle(*e).color = 0
+    reports = dict(audit_engine("edge-c", g, eng))
+    assert reports["proper-edge"].passed
+    assert reports["edge-palette"].violations == [("edge-palette", e, 0, delta and eng.palette)]
 
 
 @pytest.mark.parametrize("low_end", ["lo", "hi"])
